@@ -14,6 +14,7 @@
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -40,22 +41,19 @@ main()
         // runConfigs applies BT/FNT precedence ordering for the BT/FNT
         // architecture; to isolate the policy we drive the layouts by hand.
         const CostModel model(Arch::BtFnt);
+        auto replay = [&](const ProgramLayout &layout) {
+            return runBatchReplay(prepared.program, layout, *prepared.batch,
+                                  {EvalParams::forArch(Arch::BtFnt)})[0];
+        };
         auto eval_with = [&](AlignerKind kind, ChainOrderPolicy policy) {
             AlignOptions options;
             options.chainOrder = policy;
-            const ProgramLayout layout = alignProgram(
-                prepared.program, kind, &model, options);
-            ArchEvaluator eval(prepared.program, layout,
-                               EvalParams::forArch(Arch::BtFnt));
-            walk(prepared.program, prepared.walk, eval.sink());
-            return eval.result();
+            return replay(
+                alignProgram(prepared.program, kind, &model, options));
         };
 
-        const ProgramLayout orig = originalLayout(prepared.program);
-        ArchEvaluator orig_eval(prepared.program, orig,
-                                EvalParams::forArch(Arch::BtFnt));
-        walk(prepared.program, prepared.walk, orig_eval.sink());
-        const std::uint64_t base = orig_eval.result().instrs;
+        const EvalResult orig = replay(originalLayout(prepared.program));
+        const std::uint64_t base = orig.instrs;
 
         const EvalResult greedy_hot =
             eval_with(AlignerKind::Greedy, ChainOrderPolicy::HotFirst);
@@ -68,7 +66,7 @@ main()
 
         table.row()
             .cell(spec.name)
-            .cell(orig_eval.result().relativeCpi(base), 3)
+            .cell(orig.relativeCpi(base), 3)
             .cell(greedy_hot.relativeCpi(base), 3)
             .cell(greedy_prec.relativeCpi(base), 3)
             .cell(try_hot.relativeCpi(base), 3)

@@ -16,6 +16,7 @@
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -24,20 +25,6 @@
 #include "workload/generator.h"
 
 using namespace balign;
-
-namespace {
-
-/// Evaluates a layout on a given walk.
-EvalResult
-evaluate(const Program &program, const ProgramLayout &layout, Arch arch,
-         const WalkOptions &walk_options)
-{
-    ArchEvaluator eval(program, layout, EvalParams::forArch(arch));
-    walk(program, walk_options, eval.sink());
-    return eval.result();
-}
-
-}  // namespace
 
 int
 main()
@@ -84,13 +71,16 @@ main()
             alignProgram(program, AlignerKind::Try15, &model);
         const ProgramLayout orig = originalLayout(program);
 
-        // All evaluated on the TEST input.
-        const EvalResult orig_eval =
-            evaluate(program, orig, arch, test_walk);
-        const EvalResult self_eval =
-            evaluate(program, self_layout, arch, test_walk);
-        const EvalResult cross_eval =
-            evaluate(program, cross_layout, arch, test_walk);
+        // All evaluated on the TEST input, recorded once.
+        const BatchTrace test_trace(program,
+                                    recordTrace(program, test_walk));
+        auto evaluate = [&](const ProgramLayout &layout) {
+            return runBatchReplay(program, layout, test_trace,
+                                  {EvalParams::forArch(arch)})[0];
+        };
+        const EvalResult orig_eval = evaluate(orig);
+        const EvalResult self_eval = evaluate(self_layout);
+        const EvalResult cross_eval = evaluate(cross_layout);
 
         const auto base = orig_eval.instrs;
         const double orig_cpi = orig_eval.relativeCpi(base);

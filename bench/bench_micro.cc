@@ -1,25 +1,22 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark): throughput of the core components —
- * the trace walker, the predictors, the chain set, the aligners and the
- * materializer. These are engineering benchmarks for the library itself,
- * not paper reproductions.
+ * the trace walker, the batched replay engine and its counter updates,
+ * the aligners and the materializer. These are engineering benchmarks
+ * for the library itself, not paper reproductions.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "bpred/btb.h"
 #include "check/differ.h"
-#include "sim/batch_replay.h"
-#include "support/saturating_counter.h"
-#include "bpred/evaluator.h"
-#include "bpred/gshare.h"
-#include "bpred/pht.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "support/log.h"
 #include "support/rng.h"
+#include "support/saturating_counter.h"
+#include "trace/recorder.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -51,56 +48,6 @@ BM_WalkTrace(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 200'000);
 }
 BENCHMARK(BM_WalkTrace);
-
-void
-BM_PhtPredict(benchmark::State &state)
-{
-    PhtDirect pht(4096);
-    Rng rng(7);
-    std::uint64_t penalty = 0;
-    for (auto _ : state) {
-        const Addr site = rng.nextBounded(1 << 20);
-        const bool taken = rng.nextBool(0.6);
-        penalty += pht.predict(site) != taken;
-        pht.update(site, taken);
-    }
-    benchmark::DoNotOptimize(penalty);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PhtPredict);
-
-void
-BM_GsharePredict(benchmark::State &state)
-{
-    Gshare gshare(4096, 12);
-    Rng rng(7);
-    std::uint64_t penalty = 0;
-    for (auto _ : state) {
-        const Addr site = rng.nextBounded(1 << 20);
-        const bool taken = rng.nextBool(0.6);
-        penalty += gshare.predict(site) != taken;
-        gshare.update(site, taken);
-    }
-    benchmark::DoNotOptimize(penalty);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_GsharePredict);
-
-void
-BM_BtbLookupUpdate(benchmark::State &state)
-{
-    Btb btb(256, 4);
-    Rng rng(7);
-    std::uint64_t hits = 0;
-    for (auto _ : state) {
-        const Addr site = rng.nextBounded(1 << 12);
-        hits += btb.lookup(site).has_value();
-        btb.update(site, true, site + 16);
-    }
-    benchmark::DoNotOptimize(hits);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BtbLookupUpdate);
 
 void
 BM_AlignGreedy(benchmark::State &state)
@@ -170,16 +117,20 @@ BM_Materialize(benchmark::State &state)
 }
 BENCHMARK(BM_Materialize);
 
+// Record-once evaluation of one configuration end to end: walk the
+// program into a trace, canonicalize it, and sweep one lane.
 void
 BM_EvaluateTrace(benchmark::State &state)
 {
     const PreparedProgram prepared = prepareProgram(mediumSpec());
     const ProgramLayout layout = originalLayout(prepared.program);
     for (auto _ : state) {
-        ArchEvaluator eval(prepared.program, layout,
-                           EvalParams::forArch(Arch::PhtDirect));
-        walk(prepared.program, prepared.walk, eval.sink());
-        benchmark::DoNotOptimize(eval.result().instrs);
+        const BatchTrace trace(prepared.program,
+                               recordTrace(prepared.program, prepared.walk));
+        const std::vector<EvalResult> results =
+            runBatchReplay(prepared.program, layout, trace,
+                           {EvalParams::forArch(Arch::PhtDirect)});
+        benchmark::DoNotOptimize(results[0].instrs);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * 200'000);
@@ -187,9 +138,8 @@ BM_EvaluateTrace(benchmark::State &state)
 BENCHMARK(BM_EvaluateTrace);
 
 // One batched sweep evaluating ALL architectures at once against the
-// recorded trace, vs the per-cell reference path doing one full replay
-// per architecture. items_processed counts trace instructions times
-// lanes, so the items/s ratio is the per-lane replay speedup.
+// recorded trace. items_processed counts trace instructions times lanes,
+// so items/s is the per-lane replay throughput.
 void
 BM_ReplayBatched(benchmark::State &state)
 {
@@ -208,27 +158,6 @@ BM_ReplayBatched(benchmark::State &state)
                             static_cast<std::int64_t>(lanes.size()));
 }
 BENCHMARK(BM_ReplayBatched);
-
-void
-BM_ReplayPerCell(benchmark::State &state)
-{
-    const PreparedProgram prepared = prepareProgram(mediumSpec());
-    const ProgramLayout layout = originalLayout(prepared.program);
-    for (auto _ : state) {
-        std::uint64_t instrs = 0;
-        for (const Arch arch : allArchs()) {
-            ArchEvaluator eval(prepared.program, layout,
-                               EvalParams::forArch(arch));
-            prepared.trace->replay(prepared.program, eval.sink());
-            instrs += eval.result().instrs;
-        }
-        benchmark::DoNotOptimize(instrs);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            200'000 *
-                            static_cast<std::int64_t>(allArchs().size()));
-}
-BENCHMARK(BM_ReplayPerCell);
 
 // The branchless saturating-counter update (arithmetic clamp) the SoA
 // predictor tables use, vs the compare-and-step member function.

@@ -8,16 +8,17 @@
  *
  * Execution: programs run in parallel on the experiment runner's thread
  * pool, and within each program every (structure size, layout) point is an
- * independent replay of the recorded trace. Per-program results are
+ * independent single-lane batched sweep of the recorded trace
+ * (sim/batch_replay.h). Per-program results are
  * reduced in program order afterwards, so the printed averages are
  * identical for any BALIGN_THREADS.
  */
 
 #include <iostream>
-#include <memory>
 
 #include "bench_util.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/runner.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -116,23 +117,17 @@ main()
         }
 
         // The relative-CPI anchor: the original layout's instruction
-        // count, identical at every point, so evaluate it once up front.
-        ArchEvaluator base_eval(prepared.program, orig, points[0].first);
-        {
-            ScopedPhaseTimer timer(&times, "replay");
-            prepared.trace->replay(prepared.program, base_eval.sink());
-        }
-        const std::uint64_t base = base_eval.result().instrs;
+        // count, identical at every point, so derive it once up front.
+        const std::uint64_t base = batchLayoutInstrs(*prepared.batch, orig);
 
-        // Each point replays the recorded trace independently; nested
+        // Each point sweeps the recorded trace independently; nested
         // parallelFor shares the same pool.
         std::vector<double> &out = rel_cpis[prog_index];
         pool.parallelFor(points.size(), [&](std::size_t p) {
             ScopedPhaseTimer timer(&times, "replay");
-            ArchEvaluator eval(prepared.program, *points[p].second,
-                               points[p].first);
-            prepared.trace->replay(prepared.program, eval.sink());
-            out[p] = eval.result().relativeCpi(base);
+            out[p] = runBatchReplay(prepared.program, *points[p].second,
+                                    *prepared.batch, {points[p].first})[0]
+                         .relativeCpi(base);
         });
     });
 

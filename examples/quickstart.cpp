@@ -5,7 +5,8 @@
  * on the FALLTHROUGH architecture.
  *
  * This walks through the full public API surface:
- *   CfgBuilder -> walk/Profiler -> alignProgram -> ArchEvaluator.
+ *   CfgBuilder -> prepareProgram (profiling walk) -> runConfigs
+ *   (alignProgram + batched replay).
  */
 
 #include <cstdio>

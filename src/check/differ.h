@@ -1,24 +1,25 @@
 /**
  * @file
- * Differential harness: oracle vs. the production evaluation pipeline.
+ * Differential harness: the independent oracle vs. the production
+ * evaluation pipeline.
  *
- * One recorded event stream is fanned out to both sides at once — the
- * production BranchEventAdapter -> ArchEvaluator chain (the exact code the
- * experiments run) and the naive OracleEvaluator — and the two resulting
- * branch-event streams are compared sample by sample. Four things can
- * diverge, checked in order:
+ * One recorded event stream is fanned out to the production
+ * BranchEventAdapter (the event mapping the Alpha 21064 pipeline model
+ * consumes) and the naive OracleEvaluator at once, and the batched replay
+ * engine (sim/batch_replay.h) — the code the experiments run — evaluates
+ * the same layout as a single lane. Three things can diverge, checked in
+ * order:
  *
  *  1. Structural: the materializer's address/size bookkeeping disagrees
  *     with the oracle's independent derivation (crossCheckLayout).
- *  2. Event: the streams differ at some branch execution — wrong site,
- *     target, direction or penalty classification. The report pins the
- *     first diverging event with both sides' renderings and the
- *     surrounding context.
- *  3. Counters: the streams matched but the accumulated EvalResult
- *     totals do not (an accounting bug outside the per-event path).
- *  4. Batch: the batched replay engine (sim/batch_replay.h) run as a
- *     single lane over the same layout disagrees with the per-cell
- *     evaluator it is pinned to.
+ *  2. Event: the adapter's branch-event stream differs from the oracle's
+ *     at some branch execution — wrong site, target, direction, block or
+ *     instruction count before the branch. The report pins the first
+ *     diverging event with both sides' renderings and the surrounding
+ *     context. Penalties are not compared per event (the adapter assigns
+ *     none).
+ *  3. Batch: the batched engine's EvalResult disagrees with the oracle's
+ *     accumulated totals on some counter.
  *
  * diffPrepared() mirrors runConfigs() layout construction exactly
  * (per-architecture cost models, the BT/FNT chain-ordering override) so
@@ -42,14 +43,13 @@ namespace balign {
 enum class DivergenceKind : std::uint8_t {
     Structural,  ///< materializer bookkeeping vs. independent derivation
     Event,       ///< branch-event streams differ
-    Counters,    ///< streams agree but accumulated totals do not
     Lint,        ///< static lint rules (lint/lint.h) rejected the inputs
                  ///< before any trace was replayed
     Verify,      ///< the layout verifier (verify/verify.h) could not prove
                  ///< a layout semantically equivalent to its program
     Batch,       ///< the batched replay engine (sim/batch_replay.h)
-                 ///< disagrees with the per-cell ArchEvaluator on some
-                 ///< EvalResult counter
+                 ///< disagrees with the oracle on some EvalResult
+                 ///< counter
     Realign,     ///< incremental realignment (core/realign.h) broke its
                  ///< contract: threshold-0 differs from a full
                  ///< alignProgram, threshold-infinity differs from the old

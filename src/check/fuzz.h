@@ -132,7 +132,7 @@ struct FuzzReport
     /// Findings of kind DivergenceKind::Verify among `divergences`.
     std::uint64_t verifyHits = 0;
     /// Findings of kind DivergenceKind::Batch among `divergences`
-    /// (batched replay engine vs per-cell evaluator).
+    /// (batched replay engine vs oracle).
     std::uint64_t batchHits = 0;
     /// Findings of kind DivergenceKind::Realign among `divergences`
     /// (incremental vs full realignment).

@@ -22,9 +22,10 @@
  *    relative CPI.
  *
  * The differential harness (check/differ.h) runs this oracle in lockstep
- * with the production evaluator and reports the first diverging branch
- * event. Keep this file boring: no caching, no bit tricks, no sharing —
- * every optimization added here weakens the oracle.
+ * with the production BranchEventAdapter, reports the first diverging
+ * branch event, and compares its totals with the batched replay engine
+ * (sim/batch_replay.h). Keep this file boring: no caching, no bit
+ * tricks, no sharing — every optimization added here weakens the oracle.
  */
 
 #ifndef BALIGN_CHECK_ORACLE_H
@@ -34,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "bpred/evaluator.h"
+#include "bpred/arch.h"
 #include "cfg/program.h"
 #include "layout/layout_result.h"
 #include "trace/branch_events.h"
@@ -134,7 +135,7 @@ class OracleEvaluator : public EventSink
     void onEdge(ProcId proc, std::uint32_t edge_index) override;
     void onExit() override;
 
-    /// Accumulated metrics (same record the production evaluator fills).
+    /// Accumulated metrics (same record the batched replay engine fills).
     const EvalResult &result() const { return result_; }
 
     /// Every branch execution, in order.

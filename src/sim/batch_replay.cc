@@ -1,5 +1,6 @@
 #include "sim/batch_replay.h"
 
+#include "bpred/ras.h"
 #include "bpred/static_pred.h"
 #include "layout/materialize.h"
 #include "support/log.h"
@@ -314,49 +315,13 @@ computeShared(const BatchTrace &trace, const LayoutTables &tables)
             break;
         }
     }
-    // Exit returns pop the return stack but emit no penalty-assessed
-    // event, so they never reach a BTB lookup (evaluator.cc).
+    // Exit returns pop the return stack but have no resume address, so
+    // they are assessed no penalty and never reach a BTB lookup.
     shared.btbLookups = trace.condExec + shared.uncondExec +
                         trace.callExec + trace.indirectExec +
                         (trace.returnExec - trace.exitReturns);
     return shared;
 }
-
-/// Exact replica of ReturnStack (bpred/ras.cc): circular, depth-capped,
-/// kNoAddr on underflow.
-class RasState
-{
-  public:
-    explicit RasState(std::size_t entries) : stack_(entries, kNoAddr)
-    {
-        if (entries == 0)
-            panic("batch replay: need at least one return-stack entry");
-    }
-
-    void
-    push(Addr return_addr)
-    {
-        stack_[top_] = return_addr;
-        top_ = (top_ + 1) % stack_.size();
-        if (depth_ < stack_.size())
-            ++depth_;
-    }
-
-    Addr
-    pop()
-    {
-        if (depth_ == 0)
-            return kNoAddr;
-        top_ = (top_ + stack_.size() - 1) % stack_.size();
-        --depth_;
-        return stack_[top_];
-    }
-
-  private:
-    std::vector<Addr> stack_;
-    std::size_t top_ = 0;
-    std::size_t depth_ = 0;
-};
 
 /// Correct return-stack predictions over the dense call/return stream.
 /// Layout-dependent only through wrap-around and underflow effects, so it
@@ -365,7 +330,7 @@ std::uint64_t
 countRasCorrect(const BatchTrace &trace, const LayoutTables &tables,
                 std::size_t ras_entries)
 {
-    RasState ras(ras_entries);
+    ReturnStack ras(ras_entries);
     std::uint64_t correct = 0;
     const std::size_t n = trace.rasOps.size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -533,11 +498,12 @@ runBtbLane(const BatchTrace &trace, const LayoutTables &tables,
            const EvalParams &params)
 {
     BtbLanes btb(params.btbEntries, params.btbWays, params.counterBits);
-    RasState ras(params.rasEntries);
+    ReturnStack ras(params.rasEntries);
     BtbSweepResult r;
 
-    // ArchEvaluator::uncondBreak under a BTB: a hit predicting taken with
-    // the right target is free, everything else redirects after decode.
+    // An unconditional break or call under a BTB: a hit predicting taken
+    // with the right target is free, everything else redirects after
+    // decode.
     auto uncond_break = [&](Addr site, Addr target) {
         const std::size_t e = btb.find(site);
         if (e != SIZE_MAX) {
@@ -570,8 +536,8 @@ runBtbLane(const BatchTrace &trace, const LayoutTables &tables,
                 ++r.condMispredicts;
             } else if (taken && btb.target(e) != target) {
                 // Fixed conditional targets make this partial-tag-aliasing
-                // path unreachable; replicated from the evaluator so the
-                // two engines cannot drift.
+                // path unreachable; kept so the rule matches the oracle's
+                // (check/oracle.cc) exactly.
                 ++r.mispredicts;
                 ++r.condMispredicts;
             }
@@ -631,25 +597,12 @@ runBtbLane(const BatchTrace &trace, const LayoutTables &tables,
           }
           case BatchTrace::Op::RetExit:
             // Exit returns pop the stack but assess no penalty and make
-            // no BTB lookup (evaluator.cc early-out on kNoAddr).
+            // no BTB lookup (no resume address to predict).
             ras.pop();
             break;
         }
     }
     return r;
-}
-
-bool
-usesBtb(Arch arch)
-{
-    return arch == Arch::BtbSmall || arch == Arch::BtbLarge;
-}
-
-bool
-usesPht(Arch arch)
-{
-    return arch == Arch::PhtDirect || arch == Arch::PhtCorrelated ||
-           arch == Arch::PhtLocal;
 }
 
 void
@@ -664,31 +617,7 @@ requirePowerOfTwo(std::size_t value, const char *what)
 std::uint64_t
 batchLayoutInstrs(const BatchTrace &trace, const ProgramLayout &layout)
 {
-    std::uint64_t instrs = 0;
-    for (ProcId p = 0; p < layout.procs.size(); ++p) {
-        const ProcLayout &proc = layout.procs[p];
-        const std::uint32_t base = trace.blockBase[p];
-        for (std::uint32_t b = 0; b < proc.blocks.size(); ++b) {
-            const BlockLayout &bl = proc.blocks[b];
-            const std::uint32_t g = base + b;
-            instrs += trace.activations[g] * bl.baseInstrs;
-            switch (static_cast<Terminator>(trace.term[g])) {
-              case Terminator::CondBranch: {
-                const auto real = static_cast<std::uint8_t>(bl.cond);
-                instrs += (kOutJump[real][1] ? trace.takenCount[g] : 0) +
-                          (kOutJump[real][0] ? trace.fallCount[g] : 0);
-                break;
-              }
-              case Terminator::FallThrough:
-                if (bl.jumpInserted)
-                    instrs += trace.fallCount[g];
-                break;
-              default:
-                break;
-            }
-        }
-    }
-    return instrs;
+    return computeShared(trace, flattenLayout(trace, layout)).instrs;
 }
 
 std::vector<EvalResult>
@@ -708,7 +637,7 @@ runBatchReplay(const Program &program, const ProgramLayout &layout,
     bool any_pht = false;
     bool any_likely = false;
     for (const EvalParams &lane : lanes) {
-        any_pht = any_pht || usesPht(lane.arch);
+        any_pht = any_pht || isPht(lane.arch);
         any_likely = any_likely || lane.arch == Arch::Likely;
     }
     std::vector<Addr> cond_sites;
@@ -766,7 +695,7 @@ runBatchReplay(const Program &program, const ProgramLayout &layout,
         r.returnExec = trace.returnExec;
         r.indirectExec = trace.indirectExec;
 
-        if (usesBtb(params.arch)) {
+        if (isBtb(params.arch)) {
             const BtbSweepResult sweep =
                 runBtbLane(trace, tables, params);
             r.btbLookups = shared.btbLookups;

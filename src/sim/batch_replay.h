@@ -1,10 +1,11 @@
 /**
  * @file
- * Batched multi-architecture replay engine.
+ * Batched multi-architecture replay engine: the one production path that
+ * turns a recorded walk into EvalResult counters.
  *
- * The experiment matrix used to replay the recorded trace once per
- * (architecture, aligner, objective) cell: one virtual EventSink call per
- * event per cell, plus a full BranchEventAdapter state machine and
+ * Replaying the recorded trace once per (architecture, aligner,
+ * objective) cell would cost one virtual EventSink call per event per
+ * cell, plus a full BranchEventAdapter state machine and
  * Program/ProgramLayout pointer chasing inside every replay. This engine
  * restructures that work so one sweep drives every predictor:
  *
@@ -26,11 +27,10 @@
  *     only BTB lanes walk the full branch stream, because a BTB observes
  *     every break type in order.
  *
- * Contract: each lane's EvalResult is byte-identical to what an
- * ArchEvaluator fed through BranchEventAdapter by RecordedTrace::replay
- * produces for the same (layout, EvalParams). The per-cell path remains
- * in sim/cpi.cc as the reference implementation; the `ctest -L replay`
- * suite pins equivalence across the whole benchmark suite and the fuzz
+ * Contract: each lane's EvalResult equals, counter for counter, what the
+ * independent reference oracle (check/oracle.h) accumulates from the same
+ * recorded walk for the same (layout, EvalParams). The `ctest -L replay`
+ * suite pins that equality across the whole benchmark suite and the fuzz
  * corpus, and check/differ.cc re-checks it on every differential run so
  * the fuzzer shrinks batched-engine divergences like any other finding.
  */
@@ -41,7 +41,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "bpred/evaluator.h"
+#include "bpred/arch.h"
 #include "cfg/program.h"
 #include "layout/layout_result.h"
 #include "trace/recorder.h"
@@ -111,7 +111,7 @@ struct BatchTrace
 /**
  * Replays the canonical trace against @p layout once, evaluating every
  * lane simultaneously. Returns one EvalResult per entry of @p lanes,
- * byte-identical to an ArchEvaluator replay with the same parameters.
+ * equal to the oracle's result for the same parameters.
  *
  * @param program the CFG (profile weights used only for LIKELY bits)
  * @param layout a layout materialized for @p program
@@ -124,8 +124,8 @@ std::vector<EvalResult> runBatchReplay(const Program &program,
                                        const std::vector<EvalParams> &lanes);
 
 /**
- * Instructions the recorded run executes under @p layout — exactly what
- * an ArchEvaluator accumulates via onInstrs — computed in O(blocks) from
+ * Instructions the recorded run executes under @p layout — exactly a
+ * lane's EvalResult::instrs — computed in O(blocks) from
  * the activation histogram, with no trace sweep. Equals the recorded
  * WalkResult's count whenever the layout neither inserts nor deletes
  * jumps on executed paths (e.g. most identity layouts).

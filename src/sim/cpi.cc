@@ -78,18 +78,19 @@ prepareProgram(const ProgramSpec &spec)
     return prepareProgram(generateProgram(spec), walk, spec.name);
 }
 
-namespace {
-
-/// Feeds the prepared program's event stream to one sink: a tight replay
-/// of the recorded trace, or (hand-built PreparedProgram) a fresh walk.
-void
-feedTrace(const PreparedProgram &prepared, EventSink &sink)
+std::shared_ptr<const BatchTrace>
+batchTraceOf(const PreparedProgram &prepared)
 {
+    if (prepared.batch != nullptr)
+        return prepared.batch;
     if (prepared.trace != nullptr)
-        prepared.trace->replay(prepared.program, sink);
-    else
-        walk(prepared.program, prepared.walk, sink);
+        return std::make_shared<const BatchTrace>(prepared.program,
+                                                  *prepared.trace);
+    return std::make_shared<const BatchTrace>(
+        prepared.program, recordTrace(prepared.program, prepared.walk));
 }
+
+namespace {
 
 /**
  * Rewrites every address field of @p layout to its relaxed byte address
@@ -263,50 +264,30 @@ runConfigs(const PreparedProgram &prepared,
                 align_one(i);
     }
 
-    // Evaluate every configuration. Batched engine: the cells sharing a
-    // layout are lanes of ONE sweep, and the pool parallelizes across
-    // layout groups. Per-cell reference engine: one ArchEvaluator fed by
-    // its own independent replay per cell.
-    const bool batched = context.engine == ReplayEngine::Batched &&
-                         prepared.batch != nullptr;
+    // Evaluate every configuration: the cells sharing a layout are lanes
+    // of ONE sweep, and the pool parallelizes across layout groups.
+    const std::shared_ptr<const BatchTrace> batch = batchTraceOf(prepared);
     std::vector<EvalResult> results(configs.size());
     {
         ScopedPhaseTimer timer(context.times, "replay");
-        if (batched) {
-            std::vector<std::vector<std::size_t>> members(keys.size());
-            for (std::size_t i = 0; i < configs.size(); ++i)
-                members[key_index.at(layout_key(configs[i]))].push_back(i);
-            auto replay_group = [&](std::size_t k) {
-                std::vector<EvalParams> lanes;
-                lanes.reserve(members[k].size());
-                for (const std::size_t i : members[k])
-                    lanes.push_back(EvalParams::forArch(configs[i].arch));
-                const std::vector<EvalResult> lane_results =
-                    runBatchReplay(program, *layouts[k], *prepared.batch,
-                                   lanes);
-                for (std::size_t j = 0; j < members[k].size(); ++j)
-                    results[members[k][j]] = lane_results[j];
-            };
-            if (context.pool != nullptr)
-                context.pool->parallelFor(keys.size(), replay_group);
-            else
-                for (std::size_t k = 0; k < keys.size(); ++k)
-                    replay_group(k);
-        } else {
-            auto replay_one = [&](std::size_t i) {
-                const ProgramLayout &layout =
-                    *layouts[key_index.at(layout_key(configs[i]))];
-                ArchEvaluator evaluator(
-                    program, layout, EvalParams::forArch(configs[i].arch));
-                feedTrace(prepared, evaluator.sink());
-                results[i] = evaluator.result();
-            };
-            if (context.pool != nullptr)
-                context.pool->parallelFor(configs.size(), replay_one);
-            else
-                for (std::size_t i = 0; i < configs.size(); ++i)
-                    replay_one(i);
-        }
+        std::vector<std::vector<std::size_t>> members(keys.size());
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            members[key_index.at(layout_key(configs[i]))].push_back(i);
+        auto replay_group = [&](std::size_t k) {
+            std::vector<EvalParams> lanes;
+            lanes.reserve(members[k].size());
+            for (const std::size_t i : members[k])
+                lanes.push_back(EvalParams::forArch(configs[i].arch));
+            const std::vector<EvalResult> lane_results =
+                runBatchReplay(program, *layouts[k], *batch, lanes);
+            for (std::size_t j = 0; j < members[k].size(); ++j)
+                results[members[k][j]] = lane_results[j];
+        };
+        if (context.pool != nullptr)
+            context.pool->parallelFor(keys.size(), replay_group);
+        else
+            for (std::size_t k = 0; k < keys.size(); ++k)
+                replay_group(k);
     }
 
     // The original-layout instruction count anchors every relative CPI.
@@ -322,15 +303,7 @@ runConfigs(const PreparedProgram &prepared,
         // independent, so layout-level accounting over the recorded
         // activation histogram recovers it without replaying the trace.
         ScopedPhaseTimer timer(context.times, "replay");
-        const ProgramLayout orig = originalLayout(program);
-        if (prepared.batch != nullptr) {
-            orig_instrs = batchLayoutInstrs(*prepared.batch, orig);
-        } else {
-            ArchEvaluator eval(program, orig,
-                               EvalParams::forArch(Arch::BtFnt));
-            feedTrace(prepared, eval.sink());
-            orig_instrs = eval.result().instrs;
-        }
+        orig_instrs = batchLayoutInstrs(*batch, originalLayout(program));
     }
     run.origInstrs = orig_instrs;
 

@@ -8,14 +8,13 @@
  *
  * The profiling walk is captured once into a RecordedTrace
  * (trace/recorder.h) and canonicalized into a BatchTrace
- * (sim/batch_replay.h). By default every distinct layout is then
- * evaluated in ONE batched sweep that drives all of its configurations'
- * predictors simultaneously; the per-cell ArchEvaluator replay remains
- * selectable as the reference engine (RunContext::engine) and the two are
- * pinned byte-identical by the `ctest -L replay` suite. Layout groups are
+ * (sim/batch_replay.h). Every distinct layout is then evaluated in ONE
+ * batched sweep that drives all of its configurations' predictors
+ * simultaneously; the `ctest -L replay` suite pins every counter of that
+ * engine to the independent oracle (check/oracle.h). Layout groups are
  * independent, so runConfigs schedules them across a ThreadPool when one
  * is supplied (see sim/runner.h for the suite-level parallel driver).
- * Results are bit-identical regardless of thread count or engine.
+ * Results are bit-identical regardless of thread count.
  *
  * Layouts are shared where the paper shares them: Original and Greedy are
  * architecture-independent; Cost and TryN are re-run per architecture with
@@ -31,7 +30,7 @@
 #include <memory>
 #include <vector>
 
-#include "bpred/evaluator.h"
+#include "bpred/arch.h"
 #include "cfg/cfg_stats.h"
 #include "cfg/program.h"
 #include "core/align_program.h"
@@ -123,13 +122,18 @@ struct PreparedProgram
     WalkOptions walk;
     ProgramStats stats;
     /// The profiling walk's event stream; evaluation replays this buffer.
-    /// When null (hand-built PreparedProgram), runConfigs re-walks instead.
+    /// When null (hand-built PreparedProgram), runConfigs records `walk`.
     std::shared_ptr<const RecordedTrace> trace;
     /// The trace in canonical batched form (sim/batch_replay.h), built
-    /// alongside it by prepareProgram. When null, runConfigs falls back
-    /// to the per-cell reference path.
+    /// alongside it by prepareProgram. When null, runConfigs builds one
+    /// from `trace` (or from a fresh recording of `walk`).
     std::shared_ptr<const BatchTrace> batch;
 };
+
+/// The canonical trace of @p prepared: prepared.batch, or — for a
+/// hand-built PreparedProgram without one — one built from its recorded
+/// trace, or from a fresh recording of its walk when that is absent too.
+std::shared_ptr<const BatchTrace> batchTraceOf(const PreparedProgram &prepared);
 
 /// Generates and profiles the program described by @p spec.
 PreparedProgram prepareProgram(const ProgramSpec &spec);
@@ -138,32 +142,18 @@ PreparedProgram prepareProgram(const ProgramSpec &spec);
 PreparedProgram prepareProgram(Program program, const WalkOptions &walk,
                                const std::string &name = "");
 
-/// Which engine evaluates the experiment cells.
-enum class ReplayEngine : std::uint8_t
-{
-    /// One batched sweep per distinct layout drives all of its cells
-    /// (sim/batch_replay.h). The default.
-    Batched,
-    /// Reference implementation: one ArchEvaluator replay per cell.
-    PerCell,
-};
-
 /// Optional execution context for runConfigs: a pool to spread alignment
-/// and per-configuration replays across, a phase-time sink, and the
-/// replay-engine selector.
+/// and per-layout replays across, and a phase-time sink.
 struct RunContext
 {
     ThreadPool *pool = nullptr;   ///< null = run serially
     PhaseTimes *times = nullptr;  ///< accumulates "align" / "replay" seconds
-    /// Engine choice; the batched engine needs prepared.batch and falls
-    /// back to PerCell when it is absent.
-    ReplayEngine engine = ReplayEngine::Batched;
 };
 
 /**
  * Evaluates all configurations against the prepared program's recorded
- * trace (one independent replay per configuration; parallel when the
- * context carries a pool).
+ * trace (one batched sweep per distinct layout; parallel when the context
+ * carries a pool).
  */
 ExperimentRun runConfigs(const PreparedProgram &prepared,
                          const std::vector<ExperimentConfig> &configs,

@@ -2,11 +2,11 @@
  * @file
  * Batched replay engine (sim/batch_replay.h) unit tests: the branchless
  * counter helpers are pinned to SaturatingCounter exhaustively, the
- * batched runConfigs path is pinned byte-identical to the per-cell
- * reference engine on a real suite program, and the satellite fixes
- * (indexed cell() lookup, replay-free origInstrs recovery) are covered.
- * The full 24-program x all-configs matrix lives in test_replay_suite.cc
- * (`ctest -L replay`).
+ * batched runConfigs path is pinned to the independent oracle on every
+ * counter of a real suite program, and the satellite fixes (indexed
+ * cell() lookup, replay-free origInstrs recovery, hand-built
+ * PreparedProgram) are covered. The full 24-program x all-configs matrix
+ * lives in test_replay_suite.cc (`ctest -L replay`).
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +14,8 @@
 #include <utility>
 #include <vector>
 
-#include "check/differ.h"
 #include "layout/materialize.h"
-#include "sim/batch_replay.h"
-#include "sim/cpi.h"
+#include "replay_util.h"
 #include "support/saturating_counter.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
@@ -26,16 +24,7 @@ using namespace balign;
 
 namespace {
 
-/// All EvalResult counters, comparable with one EXPECT_EQ.
-std::vector<std::uint64_t>
-counters(const EvalResult &r)
-{
-    return {r.instrs,     r.misfetches, r.mispredicts,
-            r.condExec,   r.condTaken,  r.condMispredicts,
-            r.uncondExec, r.callExec,   r.returnExec,
-            r.returnMispredicts, r.indirectExec,
-            r.btbHits,    r.btbLookups};
-}
+using test::counters;
 
 PreparedProgram
 preparedSuiteProgram(const std::string &name, std::uint64_t budget)
@@ -43,23 +32,6 @@ preparedSuiteProgram(const std::string &name, std::uint64_t budget)
     ProgramSpec spec = suiteSpec(name);
     spec.traceInstrs = budget;
     return prepareProgram(spec);
-}
-
-std::vector<ExperimentConfig>
-fullConfigMatrix()
-{
-    std::vector<ExperimentConfig> configs;
-    for (const Arch arch : allArchs()) {
-        for (const AlignerKind kind : allAlignerKindsExtended())
-            configs.push_back({arch, kind});
-    }
-    // ExtTSP-priced guided layouts exercise the arch-independent
-    // layout-sharing path of the batched grouping too.
-    for (const Arch arch : allArchs()) {
-        configs.push_back({arch, AlignerKind::Cost, ObjectiveKind::ExtTsp});
-        configs.push_back({arch, AlignerKind::Try15, ObjectiveKind::ExtTsp});
-    }
-    return configs;
 }
 
 }  // namespace
@@ -87,28 +59,10 @@ TEST(BatchCounters, BranchlessUpdateMatchesClassExhaustively)
     }
 }
 
-TEST(BatchReplay, MatchesPerCellEngineOnSuiteProgram)
+TEST(BatchReplay, MatchesOracleOnSuiteProgram)
 {
-    const PreparedProgram prepared = preparedSuiteProgram("eqntott", 60'000);
-    const std::vector<ExperimentConfig> configs = fullConfigMatrix();
-
-    RunContext batched;
-    batched.engine = ReplayEngine::Batched;
-    RunContext per_cell;
-    per_cell.engine = ReplayEngine::PerCell;
-    const ExperimentRun fast = runConfigs(prepared, configs, {}, batched);
-    const ExperimentRun slow = runConfigs(prepared, configs, {}, per_cell);
-
-    ASSERT_EQ(fast.cells.size(), slow.cells.size());
-    EXPECT_EQ(fast.origInstrs, slow.origInstrs);
-    for (std::size_t i = 0; i < fast.cells.size(); ++i) {
-        EXPECT_EQ(counters(fast.cells[i].eval),
-                  counters(slow.cells[i].eval))
-            << archName(configs[i].arch) << "/"
-            << alignerKindName(configs[i].kind) << "/"
-            << objectiveKindName(configs[i].objective);
-        EXPECT_EQ(fast.cells[i].relCpi, slow.cells[i].relCpi);
-    }
+    test::expectBatchedMatchesOracle(preparedSuiteProgram("eqntott", 60'000),
+                                     "eqntott");
 }
 
 TEST(BatchReplay, OrigInstrsRecoveredWithoutOriginalCell)
@@ -134,23 +88,19 @@ TEST(BatchReplay, BatchLayoutInstrsMatchesEvaluator)
 {
     const PreparedProgram prepared = preparedSuiteProgram("compress", 40'000);
     ASSERT_NE(prepared.batch, nullptr);
-    const std::vector<ExperimentConfig> configs = {
-        {Arch::Fallthrough, AlignerKind::Original},
-        {Arch::Fallthrough, AlignerKind::Greedy},
-        {Arch::Fallthrough, AlignerKind::Cost},
-    };
-    // Per-cell replays give the ground-truth per-layout instruction
-    // counts; batchLayoutInstrs must reproduce each without a sweep.
-    RunContext per_cell;
-    per_cell.engine = ReplayEngine::PerCell;
-    const ExperimentRun run = runConfigs(prepared, configs, {}, per_cell);
+    // Oracle replays give the ground-truth per-layout instruction counts;
+    // batchLayoutInstrs must reproduce each without a sweep.
     const CostModel model(Arch::Fallthrough);
-    for (const auto &cell : run.cells) {
+    for (const AlignerKind kind :
+         {AlignerKind::Original, AlignerKind::Greedy, AlignerKind::Cost}) {
         const ProgramLayout layout =
-            alignProgram(prepared.program, cell.config.kind, &model);
+            alignProgram(prepared.program, kind, &model);
+        OracleEvaluator oracle(prepared.program, layout,
+                               EvalParams::forArch(Arch::Fallthrough));
+        prepared.trace->replay(prepared.program, oracle);
         EXPECT_EQ(batchLayoutInstrs(*prepared.batch, layout),
-                  cell.eval.instrs)
-            << alignerKindName(cell.config.kind);
+                  oracle.result().instrs)
+            << alignerKindName(kind);
     }
 }
 
@@ -161,12 +111,12 @@ TEST(BatchReplay, SingleLaneRunMatchesEvaluatorDirectly)
     const ProgramLayout layout = originalLayout(prepared.program);
     for (const Arch arch : allArchs()) {
         const EvalParams params = EvalParams::forArch(arch);
-        ArchEvaluator evaluator(prepared.program, layout, params);
-        prepared.trace->replay(prepared.program, evaluator.sink());
+        OracleEvaluator oracle(prepared.program, layout, params);
+        prepared.trace->replay(prepared.program, oracle);
         const std::vector<EvalResult> lanes = runBatchReplay(
             prepared.program, layout, *prepared.batch, {params});
         ASSERT_EQ(lanes.size(), 1u);
-        EXPECT_EQ(counters(lanes[0]), counters(evaluator.result()))
+        EXPECT_EQ(counters(lanes[0]), counters(oracle.result()))
             << archName(arch);
     }
 }
@@ -215,7 +165,7 @@ TEST(ExperimentRunIndex, HandAssembledRunFallsBackToScan)
 TEST(BatchReplay, HandBuiltPreparedProgramStillRuns)
 {
     // A PreparedProgram assembled by hand (tests do this) has no recorded
-    // trace and no batch form; runConfigs must fall back to walking.
+    // trace and no batch form; runConfigs must record the walk itself.
     ProgramSpec spec = suiteSpec("espresso");
     spec.traceInstrs = 20'000;
     PreparedProgram prepared;

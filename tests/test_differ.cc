@@ -3,8 +3,9 @@
  * Differential-harness tests. A differ that never fires is worthless, so
  * besides checking that clean configurations diff clean, these tests
  * corrupt materializer bookkeeping on purpose and require the harness to
- * detect each corruption as a Structural divergence, and they exercise
- * the sample-stream comparator on hand-built streams.
+ * detect each corruption as a Structural divergence, inject a fault into
+ * the batched replay engine's input and require a Batch divergence, and
+ * exercise the sample-stream comparator on hand-built streams.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "check/differ.h"
 #include "check/oracle.h"
 #include "layout/materialize.h"
+#include "sim/batch_replay.h"
 #include "sim/cpi.h"
 #include "workload/suite.h"
 
@@ -129,6 +131,27 @@ TEST(Differ, DetectsCorruptedBranchAddr)
     ProgramLayout layout = originalLayout(prepared.program);
     layout.procs[0].blocks[0].branchAddr += 1;
     expectStructural(prepared, layout, "branchAddr");
+}
+
+TEST(Differ, DetectsFaultInBatchedEngine)
+{
+    // One conditional outcome flipped in the batched engine's canonical
+    // trace: the oracle still sees the true walk, so the totals check
+    // must report the batched engine.
+    PreparedProgram prepared = preparedSmall();
+    BatchTrace faulty = *prepared.batch;
+    ASSERT_FALSE(faulty.condViaTaken.empty());
+    faulty.condViaTaken[0] ^= 1;
+    prepared.batch = std::make_shared<const BatchTrace>(std::move(faulty));
+    const ProgramLayout layout = originalLayout(prepared.program);
+    const auto divergence =
+        diffLayout(prepared, layout, Arch::PhtDirect, AlignerKind::Original);
+    ASSERT_TRUE(divergence.has_value())
+        << "fault in the batched engine went undetected";
+    EXPECT_EQ(divergence->kind, DivergenceKind::Batch)
+        << formatDivergence(*divergence);
+    EXPECT_NE(divergence->detail.find("mispredicts"), std::string::npos)
+        << divergence->detail;
 }
 
 TEST(Differ, CompareSamplesAcceptsIdenticalStreams)

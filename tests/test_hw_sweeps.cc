@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
 #include "layout/materialize.h"
+#include "replay_util.h"
 #include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
@@ -46,9 +46,7 @@ evalWith(const EvalParams &params)
 {
     const Prepared &prepared = gccModel();
     const ProgramLayout layout = originalLayout(prepared.program);
-    ArchEvaluator eval(prepared.program, layout, params);
-    walk(prepared.program, prepared.walk, eval.sink());
-    return eval.result();
+    return test::batchedWalk(prepared.program, layout, prepared.walk, params);
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
  *  - Alignment preserves the executed work: for the same trace, the
  *    instruction counts of two layouts differ exactly by the inserted
  *    jumps executed minus the deleted jumps avoided.
- *  - The evaluator's BEP equals misfetches + 4 * mispredicts.
- *  - Static-architecture results are independent of evaluation order and
- *    of fan-out (MultiSink) versus solo runs.
+ *  - The batched engine's BEP equals misfetches + 4 * mispredicts.
+ *  - A lane's results are independent of the other lanes sharing its
+ *    batched sweep.
  *  - The materializer's static size equals original size + inserted -
  *    removed jumps.
  *  - Block addresses are disjoint, contiguous and cover the whole image.
@@ -16,9 +16,9 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/evaluator.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
+#include "replay_util.h"
 #include "trace/profiler.h"
 #include "trace/walker.h"
 #include "workload/generator.h"
@@ -111,17 +111,11 @@ TEST_P(LayoutInvariantSweep, ExecutedInstructionAccounting)
     const ProgramLayout aligned =
         alignProgram(prepared.program, AlignerKind::Try15, &model);
 
-    ArchEvaluator orig_eval(prepared.program, orig,
-                            EvalParams::forArch(Arch::Fallthrough));
-    ArchEvaluator aligned_eval(prepared.program, aligned,
-                               EvalParams::forArch(Arch::Fallthrough));
-    MultiSink fanout;
-    fanout.add(&orig_eval.sink());
-    fanout.add(&aligned_eval.sink());
-    walk(prepared.program, prepared.walk, fanout);
-
-    const EvalResult &a = orig_eval.result();
-    const EvalResult &b = aligned_eval.result();
+    const EvalParams params = EvalParams::forArch(Arch::Fallthrough);
+    const EvalResult a =
+        test::batchedWalk(prepared.program, orig, prepared.walk, params);
+    const EvalResult b =
+        test::batchedWalk(prepared.program, aligned, prepared.walk, params);
     // The same CFG path executes under both layouts.
     EXPECT_EQ(a.condExec, b.condExec);
     EXPECT_EQ(a.callExec, b.callExec);
@@ -139,10 +133,8 @@ TEST_P(LayoutInvariantSweep, BepDecomposition)
     const ProgramLayout orig = originalLayout(prepared.program);
     for (Arch arch : {Arch::Fallthrough, Arch::Likely, Arch::PhtDirect,
                       Arch::BtbSmall}) {
-        ArchEvaluator eval(prepared.program, orig,
-                           EvalParams::forArch(arch));
-        walk(prepared.program, prepared.walk, eval.sink());
-        const EvalResult &r = eval.result();
+        const EvalResult r = test::batchedWalk(
+            prepared.program, orig, prepared.walk, EvalParams::forArch(arch));
         EXPECT_DOUBLE_EQ(r.bep(),
                          static_cast<double>(r.misfetches) * 1.0 +
                              static_cast<double>(r.mispredicts) * 4.0)
@@ -155,23 +147,19 @@ TEST_P(LayoutInvariantSweep, FanoutMatchesSoloEvaluation)
     const Prepared prepared = prepareSuiteProgram(GetParam(), 40'000);
     const ProgramLayout orig = originalLayout(prepared.program);
 
-    ArchEvaluator solo(prepared.program, orig,
-                       EvalParams::forArch(Arch::PhtDirect));
-    walk(prepared.program, prepared.walk, solo.sink());
+    const BatchTrace trace(prepared.program,
+                           recordTrace(prepared.program, prepared.walk));
 
-    ArchEvaluator first(prepared.program, orig,
-                        EvalParams::forArch(Arch::BtbLarge));
-    ArchEvaluator second(prepared.program, orig,
-                         EvalParams::forArch(Arch::PhtDirect));
-    MultiSink fanout;
-    fanout.add(&first.sink());
-    fanout.add(&second.sink());
-    walk(prepared.program, prepared.walk, fanout);
-
-    EXPECT_EQ(solo.result().instrs, second.result().instrs);
-    EXPECT_EQ(solo.result().misfetches, second.result().misfetches);
-    EXPECT_EQ(solo.result().mispredicts, second.result().mispredicts);
-    EXPECT_EQ(solo.result().condTaken, second.result().condTaken);
+    // A lane shares its sweep with another architecture's lane without
+    // either one disturbing the other.
+    const std::vector<EvalResult> solo =
+        runBatchReplay(prepared.program, orig, trace,
+                       {EvalParams::forArch(Arch::PhtDirect)});
+    const std::vector<EvalResult> fanout = runBatchReplay(
+        prepared.program, orig, trace,
+        {EvalParams::forArch(Arch::BtbLarge),
+         EvalParams::forArch(Arch::PhtDirect)});
+    EXPECT_EQ(test::counters(solo[0]), test::counters(fanout[1]));
 }
 
 TEST_P(LayoutInvariantSweep, AlignedLayoutsAreValidPermutations)

@@ -6,7 +6,7 @@
  * The contract under test, pinned byte-for-byte:
  *  - threshold 0 realigns every procedure and reproduces a full
  *    alignProgram of the new profile exactly — every layout field and,
- *    replayed under BOTH engines (batched and per-cell), every
+ *    replayed under BOTH the batched engine and the oracle, every
  *    EvalResult counter;
  *  - threshold kNeverRealign keeps the old layout verbatim (re-based),
  *    again field- and counter-identical;
@@ -24,16 +24,15 @@
 #include <string>
 #include <vector>
 
-#include "bpred/evaluator.h"
 #include "check/differ.h"
 #include "check/fuzz.h"
 #include "core/align_program.h"
 #include "core/realign.h"
+#include "replay_util.h"
 #include "layout/layout_diff.h"
 #include "profile/degrade.h"
 #include "sim/batch_replay.h"
 #include "sim/cpi.h"
-#include "trace/branch_events.h"
 #include "workload/suite.h"
 
 using namespace balign;
@@ -64,25 +63,16 @@ movedProfile(const PreparedProgram &prepared)
     return moved;
 }
 
-std::vector<std::uint64_t>
-counters(const EvalResult &r)
-{
-    return {r.instrs,     r.misfetches, r.mispredicts,
-            r.condExec,   r.condTaken,  r.condMispredicts,
-            r.uncondExec, r.callExec,   r.returnExec,
-            r.returnMispredicts, r.indirectExec,
-            r.btbHits,    r.btbLookups};
-}
+using test::counters;
 
-/// Reference engine: one ArchEvaluator replay of the recorded trace.
+/// Reference: the oracle's replay of the recorded trace.
 EvalResult
-evalPerCell(const PreparedProgram &prepared, const ProgramLayout &layout,
-            const EvalParams &params)
+evalOracle(const PreparedProgram &prepared, const ProgramLayout &layout,
+           const EvalParams &params)
 {
-    ArchEvaluator evaluator(prepared.program, layout, params);
-    BranchEventAdapter adapter(prepared.program, layout, evaluator);
-    prepared.trace->replay(prepared.program, adapter);
-    return evaluator.result();
+    OracleEvaluator oracle(prepared.program, layout, params);
+    prepared.trace->replay(prepared.program, oracle);
+    return oracle.result();
 }
 
 /// Batched engine: a single-lane sweep over the same trace.
@@ -178,8 +168,9 @@ TEST(Realign, ThresholdEndpointsAreByteIdentical)
 TEST(Realign, CountersByteIdenticalAcrossBothEngines)
 {
     // The layout-level identity above implies counter identity, but the
-    // replay engines are the instruments the robustness bench trusts —
-    // pin every EvalResult counter of the spliced layouts under both.
+    // batched engine is the instrument the robustness bench trusts — pin
+    // every EvalResult counter of the spliced layouts under it and under
+    // the oracle.
     const PreparedProgram prepared = preparedSuiteProgram("compress");
     ASSERT_NE(prepared.trace, nullptr);
     ASSERT_NE(prepared.batch, nullptr);
@@ -203,23 +194,23 @@ TEST(Realign, CountersByteIdenticalAcrossBothEngines)
                            &model, options, kNeverRealign);
 
         // Threshold 0 == full alignment, threshold infinity == old
-        // layout, on every counter, under each engine — and the two
-        // engines agree with each other on the spliced layouts.
-        EXPECT_EQ(counters(evalPerCell(prepared, incremental, params)),
-                  counters(evalPerCell(prepared, full, params))) << label;
+        // layout, on every counter, under each evaluator — and the two
+        // agree with each other on the spliced layouts.
+        EXPECT_EQ(counters(evalOracle(prepared, incremental, params)),
+                  counters(evalOracle(prepared, full, params))) << label;
         EXPECT_EQ(counters(evalBatched(prepared, incremental, params)),
                   counters(evalBatched(prepared, full, params))) << label;
-        EXPECT_EQ(counters(evalPerCell(prepared, kept, params)),
-                  counters(evalPerCell(prepared, old_layout, params)))
+        EXPECT_EQ(counters(evalOracle(prepared, kept, params)),
+                  counters(evalOracle(prepared, old_layout, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, kept, params)),
                   counters(evalBatched(prepared, old_layout, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, incremental, params)),
-                  counters(evalPerCell(prepared, incremental, params)))
+                  counters(evalOracle(prepared, incremental, params)))
             << label;
         EXPECT_EQ(counters(evalBatched(prepared, kept, params)),
-                  counters(evalPerCell(prepared, kept, params))) << label;
+                  counters(evalOracle(prepared, kept, params))) << label;
     }
 }
 

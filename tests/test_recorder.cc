@@ -11,7 +11,7 @@
 #include <tuple>
 #include <vector>
 
-#include "bpred/evaluator.h"
+#include "check/oracle.h"
 #include "core/align_program.h"
 #include "layout/materialize.h"
 #include "sim/cpi.h"
@@ -148,13 +148,13 @@ TEST(Recorder, ReplayEvaluationBitIdenticalToDirectWalk)
                               Arch::BtbSmall, Arch::BtbLarge};
         for (const ProgramLayout &layout : layouts) {
             for (Arch arch : archs) {
-                ArchEvaluator walked(prepared.program, layout,
-                                     EvalParams::forArch(arch));
-                walk(prepared.program, prepared.walk, walked.sink());
-
-                ArchEvaluator replayed(prepared.program, layout,
+                OracleEvaluator walked(prepared.program, layout,
                                        EvalParams::forArch(arch));
-                trace.replay(prepared.program, replayed.sink());
+                walk(prepared.program, prepared.walk, walked);
+
+                OracleEvaluator replayed(prepared.program, layout,
+                                         EvalParams::forArch(arch));
+                trace.replay(prepared.program, replayed);
 
                 expectEqualResults(walked.result(), replayed.result(),
                                    archName(arch));
@@ -176,8 +176,8 @@ TEST(Recorder, PreparedProgramCarriesReplayableTrace)
 
 TEST(Recorder, RunConfigsMatchesWalkFallback)
 {
-    // The record-once engine and the legacy re-walk path (hand-built
-    // PreparedProgram without a trace) must produce identical experiments.
+    // The prepared trace and the fallback recording of a hand-built
+    // PreparedProgram without one must produce identical experiments.
     ProgramSpec spec = suiteSpec("sc");
     spec.traceInstrs = 60'000;
     const std::vector<ExperimentConfig> configs = {
@@ -192,7 +192,7 @@ TEST(Recorder, RunConfigsMatchesWalkFallback)
     walked.program = recorded.program;  // copy of the profiled CFG
     walked.walk = recorded.walk;
     walked.stats = recorded.stats;
-    walked.trace = nullptr;  // force the fallback walk
+    walked.trace = nullptr;  // force the fallback recording
 
     const ExperimentRun via_replay = runConfigs(recorded, configs);
     const ExperimentRun via_walk = runConfigs(walked, configs);
@@ -216,9 +216,9 @@ TEST(Recorder, TraceSurvivesProgramMove)
         recordTrace(prepared.program, prepared.walk);
 
     const ProgramLayout layout = originalLayout(prepared.program);
-    ArchEvaluator before(prepared.program, layout,
-                         EvalParams::forArch(Arch::BtbSmall));
-    trace.replay(prepared.program, before.sink());
+    OracleEvaluator before(prepared.program, layout,
+                           EvalParams::forArch(Arch::BtbSmall));
+    trace.replay(prepared.program, before);
 
     const Program moved = std::move(prepared.program);
 
@@ -226,7 +226,8 @@ TEST(Recorder, TraceSurvivesProgramMove)
     trace.replay(moved, replayed);
     EXPECT_EQ(replayed.log.size(), trace.numEvents());
 
-    ArchEvaluator after(moved, layout, EvalParams::forArch(Arch::BtbSmall));
-    trace.replay(moved, after.sink());
+    OracleEvaluator after(moved, layout,
+                          EvalParams::forArch(Arch::BtbSmall));
+    trace.replay(moved, after);
     expectEqualResults(before.result(), after.result(), "after move");
 }

@@ -1,17 +1,20 @@
 /**
  * @file
- * The `ctest -L replay` group: batched-vs-per-cell engine equivalence
- * over the full 24-program benchmark suite and the fuzz corpus.
+ * The `ctest -L replay` group: the batched replay engine against the
+ * independent oracle over the full 24-program benchmark suite and the
+ * fuzz corpus.
  *
  * Every suite program is prepared with a reduced trace budget and run
- * through runConfigs twice — once per engine — over the full
- * configuration matrix (8 architectures x 5 aligners under table-cost
- * plus the ExtTSP-priced guided aligners). Every EvalResult counter of
- * every cell must be byte-identical; so must origInstrs and the derived
- * relative CPI. Corpus repros (including shrunk fuzzer findings) get the
- * same treatment, so any program shape that ever broke the pipeline also
- * pins the batched engine. New engine divergences found by the fuzzer
- * land here automatically as DivergenceKind::Batch repro files.
+ * through runConfigs (the batched engine) over the full configuration
+ * matrix (8 architectures x 5 aligners under table-cost plus the
+ * ExtTSP-priced guided aligners); the oracle (check/oracle.h) then
+ * replays the same recorded trace over each cell's layout. Every
+ * EvalResult counter of every cell must be equal; so must origInstrs and
+ * the derived relative CPI. Corpus repros (including shrunk fuzzer
+ * findings) get the same treatment, so any program shape that ever broke
+ * the pipeline also pins the batched engine. New engine divergences found
+ * by the fuzzer land here automatically as DivergenceKind::Batch repro
+ * files.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "check/differ.h"
 #include "check/fuzz.h"
-#include "sim/cpi.h"
+#include "replay_util.h"
 #include "workload/generator.h"
 #include "workload/suite.h"
 
@@ -32,54 +34,6 @@ using namespace balign;
 namespace {
 
 constexpr std::uint64_t kSuiteBudget = 100'000;
-
-std::vector<std::uint64_t>
-counters(const EvalResult &r)
-{
-    return {r.instrs,     r.misfetches, r.mispredicts,
-            r.condExec,   r.condTaken,  r.condMispredicts,
-            r.uncondExec, r.callExec,   r.returnExec,
-            r.returnMispredicts, r.indirectExec,
-            r.btbHits,    r.btbLookups};
-}
-
-std::vector<ExperimentConfig>
-fullConfigMatrix()
-{
-    std::vector<ExperimentConfig> configs;
-    for (const Arch arch : allArchs()) {
-        for (const AlignerKind kind : allAlignerKindsExtended())
-            configs.push_back({arch, kind});
-    }
-    for (const Arch arch : allArchs()) {
-        configs.push_back({arch, AlignerKind::Cost, ObjectiveKind::ExtTsp});
-        configs.push_back({arch, AlignerKind::Try15, ObjectiveKind::ExtTsp});
-    }
-    return configs;
-}
-
-void
-expectEnginesAgree(const PreparedProgram &prepared, const std::string &label)
-{
-    const std::vector<ExperimentConfig> configs = fullConfigMatrix();
-    RunContext batched;
-    batched.engine = ReplayEngine::Batched;
-    RunContext per_cell;
-    per_cell.engine = ReplayEngine::PerCell;
-    const ExperimentRun fast = runConfigs(prepared, configs, {}, batched);
-    const ExperimentRun slow = runConfigs(prepared, configs, {}, per_cell);
-
-    ASSERT_EQ(fast.cells.size(), slow.cells.size()) << label;
-    EXPECT_EQ(fast.origInstrs, slow.origInstrs) << label;
-    for (std::size_t i = 0; i < fast.cells.size(); ++i) {
-        EXPECT_EQ(counters(fast.cells[i].eval),
-                  counters(slow.cells[i].eval))
-            << label << ": " << archName(configs[i].arch) << "/"
-            << alignerKindName(configs[i].kind) << "/"
-            << objectiveKindName(configs[i].objective);
-        EXPECT_EQ(fast.cells[i].relCpi, slow.cells[i].relCpi) << label;
-    }
-}
 
 std::vector<std::string>
 corpusFiles()
@@ -104,7 +58,7 @@ TEST_P(ReplaySuite, EnginesByteIdentical)
 {
     ProgramSpec spec = suiteSpec(GetParam());
     spec.traceInstrs = kSuiteBudget;
-    expectEnginesAgree(prepareProgram(spec), GetParam());
+    test::expectBatchedMatchesOracle(prepareProgram(spec), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite24, ReplaySuite, [] {
@@ -130,7 +84,7 @@ TEST(ReplayCorpus, EnginesByteIdenticalOnEveryRepro)
         ASSERT_TRUE(repro.has_value()) << path;
         const PreparedProgram prepared =
             prepareProgram(repro->program, repro->walk);
-        expectEnginesAgree(
+        test::expectBatchedMatchesOracle(
             prepared, std::filesystem::path(path).stem().string());
     }
 }
