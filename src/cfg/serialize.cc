@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "cfg/validate.h"
-#include "support/log.h"
 
 namespace balign {
 
@@ -282,15 +281,12 @@ programFromString(const std::string &text)
     return readProgram(is);
 }
 
-void
+bool
 saveProgram(const Program &program, const std::string &path)
 {
     std::ofstream os(path);
-    if (!os)
-        fatal("cannot open '%s' for writing", path.c_str());
     writeProgram(program, os);
-    if (!os)
-        fatal("error writing '%s'", path.c_str());
+    return static_cast<bool>(os);
 }
 
 ParseResult

@@ -55,8 +55,9 @@ ParseResult readProgram(std::istream &is);
 /// Parses from a string.
 ParseResult programFromString(const std::string &text);
 
-/// File helpers: fatal() on I/O failure, parse errors reported in-band.
-void saveProgram(const Program &program, const std::string &path);
+/// File helpers. saveProgram returns false when @p path cannot be opened
+/// or written; loadProgram reports open and parse errors in-band.
+bool saveProgram(const Program &program, const std::string &path);
 ParseResult loadProgram(const std::string &path);
 
 }  // namespace balign

@@ -1,5 +1,6 @@
 #include "check/fuzz.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -345,8 +346,9 @@ walkForSeed(std::uint64_t seed, std::uint64_t instr_budget)
 }
 
 // -----------------------------------------------------------------------
-// Shrinker. Every transformation rebuilds the program from scratch so the
-// dense-id and index invariants hold by construction.
+// Shrinker. Every transformation returns an edited copy: dropProcedure
+// renumbers the procedures above the victim, and truncateBlock rebuilds
+// the one procedure it edits, so dense ids and edge indices still hold.
 
 namespace {
 
@@ -381,35 +383,23 @@ clampCalls(BasicBlock &block)
 Program
 dropProcedure(const Program &program, ProcId victim)
 {
-    Program out(program.name());
-    for (ProcId p = 0; p < program.numProcs(); ++p) {
-        if (p == victim)
-            continue;
-        const Procedure &old = program.proc(p);
-        Procedure &proc = out.proc(out.addProc(old.name()));
-        for (const BasicBlock &block : old.blocks()) {
-            const BlockId id = proc.addBlock(block.numInstrs, block.term);
-            copyBlockPayload(block, proc.block(id));
-            std::vector<CallSite> calls;
-            for (const CallSite &site : proc.block(id).calls) {
-                if (site.callee == victim)
-                    continue;
-                CallSite kept = site;
-                if (kept.callee > victim)
-                    --kept.callee;
-                calls.push_back(kept);
+    Program out = program;
+    out.procs().erase(out.procs().begin() + victim);
+    for (Procedure &proc : out.procs()) {
+        if (proc.id() > victim)
+            proc.setId(proc.id() - 1);
+        for (BasicBlock &block : proc.blocks()) {
+            std::erase_if(block.calls, [victim](const CallSite &site) {
+                return site.callee == victim;
+            });
+            for (CallSite &site : block.calls) {
+                if (site.callee > victim)
+                    --site.callee;
             }
-            proc.block(id).calls = std::move(calls);
         }
-        for (const Edge &edge : old.edges())
-            proc.addEdge(edge.src, edge.dst, edge.kind, edge.weight,
-                         edge.bias);
-        proc.setEntry(old.entry());
     }
-    ProcId main_id = program.mainProc();
-    if (main_id > victim)
-        --main_id;
-    out.setMainProc(main_id);
+    if (out.mainProc() > victim)
+        out.setMainProc(out.mainProc() - 1);
     return out;
 }
 
@@ -421,71 +411,55 @@ dropProcedure(const Program &program, ProcId victim)
 Program
 truncateBlock(const Program &program, ProcId victim, BlockId target)
 {
-    Program out(program.name());
-    for (ProcId p = 0; p < program.numProcs(); ++p) {
-        const Procedure &old = program.proc(p);
-        Procedure &proc = out.proc(out.addProc(old.name()));
-        if (p != victim) {
-            for (const BasicBlock &block : old.blocks()) {
-                const BlockId id =
-                    proc.addBlock(block.numInstrs, block.term);
-                copyBlockPayload(block, proc.block(id));
-            }
-            for (const Edge &edge : old.edges())
-                proc.addEdge(edge.src, edge.dst, edge.kind, edge.weight,
-                             edge.bias);
-            proc.setEntry(old.entry());
+    Program out = program;
+    const Procedure &old = program.proc(victim);
+    Procedure &proc = out.proc(victim) = Procedure(victim, old.name());
+
+    // Reachability from the entry, with the target's out-edges cut.
+    std::vector<bool> reachable(old.numBlocks(), false);
+    std::vector<BlockId> work{old.entry()};
+    reachable[old.entry()] = true;
+    while (!work.empty()) {
+        const BlockId id = work.back();
+        work.pop_back();
+        if (id == target)
             continue;
-        }
-
-        // Reachability from the entry, with the target's out-edges cut.
-        std::vector<bool> reachable(old.numBlocks(), false);
-        std::vector<BlockId> work{old.entry()};
-        reachable[old.entry()] = true;
-        while (!work.empty()) {
-            const BlockId id = work.back();
-            work.pop_back();
-            if (id == target)
-                continue;
-            for (const std::uint32_t index : old.block(id).outEdges) {
-                const BlockId dst = old.edge(index).dst;
-                if (!reachable[dst]) {
-                    reachable[dst] = true;
-                    work.push_back(dst);
-                }
+        for (const std::uint32_t index : old.block(id).outEdges) {
+            const BlockId dst = old.edge(index).dst;
+            if (!reachable[dst]) {
+                reachable[dst] = true;
+                work.push_back(dst);
             }
         }
-
-        std::vector<BlockId> remap(old.numBlocks(), kNoBlock);
-        for (const BasicBlock &block : old.blocks()) {
-            if (!reachable[block.id])
-                continue;
-            const bool truncated = block.id == target;
-            const BlockId id = proc.addBlock(
-                block.numInstrs,
-                truncated ? Terminator::Return : block.term);
-            remap[block.id] = id;
-            copyBlockPayload(block, proc.block(id));
-            clampCalls(proc.block(id));
-        }
-        for (const BasicBlock &block : old.blocks()) {
-            const BlockId id = remap[block.id];
-            if (id == kNoBlock)
-                continue;
-            BlockId &corr = proc.block(id).correlatedWith;
-            corr = corr == kNoBlock ? kNoBlock : remap[corr];
-        }
-        for (const Edge &edge : old.edges()) {
-            if (edge.src == target)
-                continue;
-            if (remap[edge.src] == kNoBlock || remap[edge.dst] == kNoBlock)
-                continue;
-            proc.addEdge(remap[edge.src], remap[edge.dst], edge.kind,
-                         edge.weight, edge.bias);
-        }
-        proc.setEntry(remap[old.entry()]);
     }
-    out.setMainProc(program.mainProc());
+
+    std::vector<BlockId> remap(old.numBlocks(), kNoBlock);
+    for (const BasicBlock &block : old.blocks()) {
+        if (!reachable[block.id])
+            continue;
+        const bool truncated = block.id == target;
+        const BlockId id = proc.addBlock(
+            block.numInstrs, truncated ? Terminator::Return : block.term);
+        remap[block.id] = id;
+        copyBlockPayload(block, proc.block(id));
+        clampCalls(proc.block(id));
+    }
+    for (const BasicBlock &block : old.blocks()) {
+        const BlockId id = remap[block.id];
+        if (id == kNoBlock)
+            continue;
+        BlockId &corr = proc.block(id).correlatedWith;
+        corr = corr == kNoBlock ? kNoBlock : remap[corr];
+    }
+    for (const Edge &edge : old.edges()) {
+        if (edge.src == target)
+            continue;
+        if (remap[edge.src] == kNoBlock || remap[edge.dst] == kNoBlock)
+            continue;
+        proc.addEdge(remap[edge.src], remap[edge.dst], edge.kind,
+                     edge.weight, edge.bias);
+    }
+    proc.setEntry(remap[old.entry()]);
     return out;
 }
 
@@ -633,34 +607,180 @@ loadRepro(const std::string &path)
     return repro;
 }
 
+namespace {
+
+/// The objectives a gate sweeps: the configured ones, or just the
+/// alignment objective.
+std::vector<ObjectiveKind>
+gateObjectives(const DiffOptions &options)
+{
+    return options.objectives.empty()
+               ? std::vector<ObjectiveKind>{options.align.objective}
+               : options.objectives;
+}
+
+/// The gates price every layout under FALLTHROUGH's cost model.
+const CostModel &
+gateModel()
+{
+    static const CostModel model(Arch::Fallthrough);
+    return model;
+}
+
+/// A @p kind finding against @p program reading "  what: detail".
+Divergence
+finding(DivergenceKind kind, const Program &program, const std::string &what,
+        const std::string &detail)
+{
+    return Divergence{.kind = kind,
+                      .program = program.name(),
+                      .detail = "  " + what + ": " + detail + "\n"};
+}
+
+/// The error diagnostics of @p report, each as "<prefix><diagnostic><suffix>".
+std::string
+lintErrors(const LintReport &report, const char *prefix, const char *suffix)
+{
+    std::string out;
+    for (const Diagnostic &diagnostic : report.diagnostics) {
+        if (diagnostic.severity == Severity::Error)
+            out += prefix + formatDiagnostic(diagnostic) + suffix;
+    }
+    return out;
+}
+
+/// A gate's check of one layout: (aligner, align options, layout) to a
+/// finding, or nullopt when the layout holds up.
+using LayoutCheck = std::function<std::optional<Divergence>(
+    AlignerKind, const AlignOptions &, const ProgramLayout &)>;
+
+/**
+ * Aligns @p program under every configured (aligner, objective) pair —
+ * every aligner including ExtTsp unless @p options names some — and runs
+ * @p check on each layout. The alignProgram post-condition is off, so a
+ * broken layout becomes a finding, not a panic. Returns the first
+ * finding, pinned to its (aligner, objective) pair.
+ */
+std::optional<Divergence>
+sweepLayouts(const Program &program, const DiffOptions &options,
+             const LayoutCheck &check)
+{
+    const std::vector<AlignerKind> kinds =
+        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
+    const std::vector<ObjectiveKind> objectives = gateObjectives(options);
+    for (const AlignerKind kind : kinds) {
+        for (const ObjectiveKind objective : objectives) {
+            AlignOptions align = options.align;
+            align.objective = objective;
+            align.verify = false;
+            std::optional<Divergence> hit = check(
+                kind, align, alignProgram(program, kind, &gateModel(), align));
+            if (hit.has_value()) {
+                hit->aligner = kind;
+                hit->objective = objective;
+                return hit;
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+/// The emission contract and the byte-level obligations for one layout
+/// under one encoding (see emitGateCheck).
+std::optional<Divergence>
+checkEmission(const Program &program, const ProgramLayout &layout,
+              EncodingModelKind encoding)
+{
+    const EncodingModel &em = encodingModel(encoding);
+    const std::string prefix =
+        encodingModelKindName(encoding) + std::string(": ");
+    auto emit_finding = [&](const std::string &what,
+                            const std::string &detail) {
+        return finding(DivergenceKind::Emit, program, prefix + what, detail);
+    };
+
+    const RelaxedLayout relaxed = relaxLayout(program, layout, em);
+    if (!relaxed.converged)
+        return emit_finding("relaxation did not converge",
+                            relaxed.diagnostic);
+    const VerifyResult proof =
+        verifyRelaxedLayout(program, layout, relaxed, em);
+    if (!proof.verified())
+        return emit_finding("relaxed layout failed verification",
+                            formatVerifyFailure(proof.failures.front()));
+
+    // Fixpoint determinism: relaxation keeps no hidden state, so a second
+    // run must reproduce every byte.
+    const RelaxedLayout again = relaxLayout(program, layout, em);
+    if (again.totalBytes != relaxed.totalBytes ||
+        again.iterations != relaxed.iterations ||
+        again.instrs.size() != relaxed.instrs.size()) {
+        std::ostringstream detail;
+        detail << "bytes " << relaxed.totalBytes << " vs "
+               << again.totalBytes << ", sweeps " << relaxed.iterations
+               << " vs " << again.iterations;
+        return emit_finding("second relaxation diverged", detail.str());
+    }
+    for (std::size_t i = 0; i < relaxed.instrs.size(); ++i) {
+        const RelaxedInstr &a = relaxed.instrs[i];
+        const RelaxedInstr &b = again.instrs[i];
+        if (a.byteAddr != b.byteAddr || a.form != b.form ||
+            a.size != b.size || a.disp != b.disp) {
+            std::ostringstream detail;
+            detail << "slot " << i << " (" << instrClassName(a.cls)
+                   << " at word " << a.wordAddr << ") byte " << a.byteAddr
+                   << "/" << branchFormName(a.form) << " vs " << b.byteAddr
+                   << "/" << branchFormName(b.form);
+            return emit_finding("second relaxation diverged", detail.str());
+        }
+    }
+
+    const std::vector<std::uint8_t> object =
+        buildElfObject(program, relaxed, em);
+    const ParsedElf parsed = parseElfObject(object);
+    if (!parsed.ok)
+        return emit_finding("emitted object failed to parse", parsed.error);
+    if (parsed.text != encodeText(relaxed, em))
+        return emit_finding("parsed .text differs from the encoder output",
+                            "parsed " + std::to_string(parsed.text.size()) +
+                                " text byte(s), encoder produced " +
+                                std::to_string(relaxed.totalBytes));
+
+    const ObjCheckResult result = checkObject(program, relaxed, object);
+    if (result.verified())
+        return std::nullopt;
+    return finding(DivergenceKind::Disasm, program,
+                   prefix + std::to_string(result.totalFailures()) + " of " +
+                       std::to_string(result.totalChecks()) +
+                       " byte-level obligation checks failed",
+                   formatObjFailure(result.failures.front()));
+}
+
+}  // namespace
+
+std::size_t
+FuzzReport::hits(DivergenceKind kind) const
+{
+    return static_cast<std::size_t>(std::count_if(
+        divergences.begin(), divergences.end(),
+        [kind](const Divergence &d) { return d.kind == kind; }));
+}
+
 std::optional<Divergence>
 lintGateCheck(const Program &program, const DiffOptions &options)
 {
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    for (const ObjectiveKind objective : objectives) {
+    for (const ObjectiveKind objective : gateObjectives(options)) {
         LintRunOptions run;
         run.archs = options.archs;
         run.kinds = options.kinds;
         run.align = options.align;
         run.align.objective = objective;
         const LintReport report = lintProgram(program, run);
-        if (report.clean())
-            continue;
-
-        Divergence divergence;
-        divergence.kind = DivergenceKind::Lint;
-        divergence.objective = objective;
-        divergence.program = program.name();
-        std::ostringstream detail;
-        for (const Diagnostic &diagnostic : report.diagnostics) {
-            if (diagnostic.severity == Severity::Error)
-                detail << "  " << formatDiagnostic(diagnostic) << "\n";
-        }
-        divergence.detail = detail.str();
-        return divergence;
+        if (!report.clean())
+            return Divergence{.kind = DivergenceKind::Lint,
+                              .objective = objective,
+                              .program = program.name(),
+                              .detail = lintErrors(report, "  ", "\n")};
     }
     return std::nullopt;
 }
@@ -679,9 +799,11 @@ verifyGateCheck(const Program &program, const DiffOptions &options,
     if (report.verified())
         return std::nullopt;
 
-    Divergence divergence;
-    divergence.kind = DivergenceKind::Verify;
-    divergence.program = program.name();
+    Divergence divergence{
+        .kind = DivergenceKind::Verify,
+        .program = program.name(),
+        .detail = formatVerifyReport(report, program.name()),
+    };
     // Pin the divergence to the first failing configuration so the repro
     // names a concrete (arch, aligner, objective) triple.
     for (const VerifyCertificate &certificate : report.certificates) {
@@ -699,7 +821,6 @@ verifyGateCheck(const Program &program, const DiffOptions &options,
             divergence.objective = *objective;
         break;
     }
-    divergence.detail = formatVerifyReport(report, program.name());
     return divergence;
 }
 
@@ -718,70 +839,48 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
     spec.seed = 0x5EED5EEDull;
     degradeProfile(degraded, walk, spec);
 
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            // Verification failures must become findings, not panics.
-            align.verify = false;
-
-            auto report = [&](const std::string &what,
-                              const std::string &detail) {
-                Divergence divergence;
-                divergence.kind = DivergenceKind::Realign;
-                divergence.aligner = kind;
-                divergence.objective = objective;
-                divergence.program = program.name();
-                divergence.detail = "  " + what + ": " + detail + "\n";
-                return divergence;
-            };
-
-            const ProgramLayout old_layout =
-                alignProgram(program, kind, &model, align);
+    return sweepLayouts(
+        program, options,
+        [&](AlignerKind kind, const AlignOptions &align,
+            const ProgramLayout &old_layout) -> std::optional<Divergence> {
+            const CostModel *model = &gateModel();
             const ProgramLayout full =
-                alignProgram(degraded, kind, &model, align);
+                alignProgram(degraded, kind, model, align);
 
             const ProgramLayout incremental = realignProgram(
-                program, old_layout, degraded, kind, &model, align, 0.0);
+                program, old_layout, degraded, kind, model, align, 0.0);
             std::string mismatch =
                 describeLayoutDifference(full, incremental);
             if (!mismatch.empty())
-                return report("threshold 0 differs from full alignProgram",
-                              mismatch);
+                return finding(DivergenceKind::Realign, program,
+                               "threshold 0 differs from full alignProgram",
+                               mismatch);
 
             const ProgramLayout kept =
-                realignProgram(program, old_layout, degraded, kind, &model,
+                realignProgram(program, old_layout, degraded, kind, model,
                                align, kNeverRealign);
             mismatch = describeLayoutDifference(old_layout, kept);
             if (!mismatch.empty())
-                return report(
-                    "threshold infinity differs from the old layout",
-                    mismatch);
+                return finding(DivergenceKind::Realign, program,
+                               "threshold infinity differs from the old "
+                               "layout",
+                               mismatch);
 
             RealignStats stats;
             const ProgramLayout spliced =
-                realignProgram(program, old_layout, degraded, kind, &model,
+                realignProgram(program, old_layout, degraded, kind, model,
                                align, 0.25, &stats);
             const VerifyResult proof = verifyLayout(degraded, spliced);
-            if (!proof.verified()) {
-                std::ostringstream detail;
-                detail << "spliced " << stats.procsRealigned << "/"
-                       << stats.procsTotal << " procedures; "
-                       << formatVerifyFailure(proof.failures.front());
-                return report("mid-threshold splice failed verification",
-                              detail.str());
-            }
-        }
-    }
-    return std::nullopt;
+            if (proof.verified())
+                return std::nullopt;
+            std::ostringstream detail;
+            detail << "spliced " << stats.procsRealigned << "/"
+                   << stats.procsTotal << " procedures; "
+                   << formatVerifyFailure(proof.failures.front());
+            return finding(DivergenceKind::Realign, program,
+                           "mid-threshold splice failed verification",
+                           detail.str());
+        });
 }
 
 std::optional<Divergence>
@@ -789,224 +888,47 @@ estimateGateCheck(const Program &program, const DiffOptions &options)
 {
     // Estimate once; every check below runs against this copy.
     Program estimated = program;
-    const EstimateReport estimate = estimateProfile(estimated);
-    (void)estimate;
-
-    auto report = [&](const std::string &what, const std::string &detail) {
-        Divergence divergence;
-        divergence.kind = DivergenceKind::Estimate;
-        divergence.program = program.name();
-        divergence.detail = "  " + what + ": " + detail + "\n";
-        return divergence;
-    };
+    estimateProfile(estimated);
 
     // The synthesized profile must satisfy the same static invariants a
     // measured profile does (prof.*), plus the estimator's own (est.*).
-    {
-        LintRunOptions lint_run;
-        lint_run.layoutRules = false;
-        const LintReport lint = lintProgram(estimated, lint_run);
-        if (!lint.clean()) {
-            std::ostringstream detail;
-            for (const Diagnostic &diagnostic : lint.diagnostics) {
-                if (diagnostic.severity == Severity::Error)
-                    detail << formatDiagnostic(diagnostic) << "; ";
-            }
-            return report("estimated profile fails static lint",
-                          detail.str());
-        }
-    }
+    LintRunOptions lint_run;
+    lint_run.layoutRules = false;
+    const LintReport lint = lintProgram(estimated, lint_run);
+    if (!lint.clean())
+        return finding(DivergenceKind::Estimate, program,
+                       "estimated profile fails static lint",
+                       lintErrors(lint, "", "; "));
 
     // Every aligner must produce a verifiable layout from the estimate.
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;  // failures become findings, not panics
-            const ProgramLayout layout =
-                alignProgram(estimated, kind, &model, align);
+    return sweepLayouts(
+        estimated, options,
+        [&](AlignerKind, const AlignOptions &,
+            const ProgramLayout &layout) -> std::optional<Divergence> {
             const VerifyResult proof = verifyLayout(estimated, layout);
-            if (!proof.verified()) {
-                Divergence divergence = report(
-                    "layout aligned on the estimated profile failed "
-                    "verification",
-                    formatVerifyFailure(proof.failures.front()));
-                divergence.aligner = kind;
-                divergence.objective = objective;
-                return divergence;
-            }
-        }
-    }
-    return std::nullopt;
+            if (proof.verified())
+                return std::nullopt;
+            return finding(DivergenceKind::Estimate, program,
+                           "layout aligned on the estimated profile failed "
+                           "verification",
+                           formatVerifyFailure(proof.failures.front()));
+        });
 }
 
 std::optional<Divergence>
 emitGateCheck(const Program &program, const DiffOptions &options)
 {
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;  // failures become findings, not panics
-            const ProgramLayout layout =
-                alignProgram(program, kind, &model, align);
-
-            auto report = [&](EncodingModelKind encoding,
-                              const std::string &what,
-                              const std::string &detail) {
-                Divergence divergence;
-                divergence.kind = DivergenceKind::Emit;
-                divergence.aligner = kind;
-                divergence.objective = objective;
-                divergence.program = program.name();
-                divergence.detail = std::string("  ") +
-                                    encodingModelKindName(encoding) +
-                                    ": " + what + ": " + detail + "\n";
-                return divergence;
-            };
-
-            for (const EncodingModelKind encoding :
-                 allEncodingModelKinds()) {
-                const EncodingModel &em = encodingModel(encoding);
-                const RelaxedLayout relaxed =
-                    relaxLayout(program, layout, em);
-                if (!relaxed.converged)
-                    return report(encoding,
-                                  "relaxation did not converge",
-                                  relaxed.diagnostic);
-
-                const VerifyResult proof =
-                    verifyRelaxedLayout(program, layout, relaxed, em);
-                if (!proof.verified())
-                    return report(
-                        encoding, "relaxed layout failed verification",
-                        formatVerifyFailure(proof.failures.front()));
-
-                // Fixpoint determinism: relaxation keeps no hidden
-                // state, so a second run must reproduce every byte.
-                const RelaxedLayout again =
-                    relaxLayout(program, layout, em);
-                if (again.totalBytes != relaxed.totalBytes ||
-                    again.iterations != relaxed.iterations ||
-                    again.instrs.size() != relaxed.instrs.size()) {
-                    std::ostringstream detail;
-                    detail << "bytes " << relaxed.totalBytes << " vs "
-                           << again.totalBytes << ", sweeps "
-                           << relaxed.iterations << " vs "
-                           << again.iterations;
-                    return report(encoding, "second relaxation diverged",
-                                  detail.str());
-                }
-                for (std::size_t i = 0; i < relaxed.instrs.size(); ++i) {
-                    const RelaxedInstr &a = relaxed.instrs[i];
-                    const RelaxedInstr &b = again.instrs[i];
-                    if (a.byteAddr != b.byteAddr || a.form != b.form ||
-                        a.size != b.size || a.disp != b.disp) {
-                        std::ostringstream detail;
-                        detail << "slot " << i << " ("
-                               << instrClassName(a.cls) << " at word "
-                               << a.wordAddr << ") byte " << a.byteAddr
-                               << "/" << branchFormName(a.form) << " vs "
-                               << b.byteAddr << "/"
-                               << branchFormName(b.form);
-                        return report(encoding,
-                                      "second relaxation diverged",
-                                      detail.str());
-                    }
-                }
-
-                const std::vector<std::uint8_t> object =
-                    buildElfObject(program, relaxed, em);
-                const ParsedElf parsed = parseElfObject(object);
-                if (!parsed.ok)
-                    return report(encoding,
-                                  "emitted object failed to parse",
-                                  parsed.error);
-                if (parsed.text != encodeText(relaxed, em)) {
-                    std::ostringstream detail;
-                    detail << "parsed " << parsed.text.size()
-                           << " text byte(s), encoder produced "
-                           << relaxed.totalBytes;
-                    return report(
-                        encoding,
-                        "parsed .text differs from the encoder output",
-                        detail.str());
-                }
+    return sweepLayouts(
+        program, options,
+        [&](AlignerKind, const AlignOptions &,
+            const ProgramLayout &layout) -> std::optional<Divergence> {
+            for (const EncodingModelKind encoding : allEncodingModelKinds()) {
+                if (std::optional<Divergence> hit =
+                        checkEmission(program, layout, encoding))
+                    return hit;
             }
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<Divergence>
-disasmGateCheck(const Program &program, const DiffOptions &options)
-{
-    const std::vector<AlignerKind> kinds =
-        options.kinds.empty() ? allAlignerKindsExtended() : options.kinds;
-    const std::vector<ObjectiveKind> objectives =
-        options.objectives.empty()
-            ? std::vector<ObjectiveKind>{options.align.objective}
-            : options.objectives;
-    const CostModel model(Arch::Fallthrough);
-
-    for (const AlignerKind kind : kinds) {
-        for (const ObjectiveKind objective : objectives) {
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;  // failures become findings, not panics
-            const ProgramLayout layout =
-                alignProgram(program, kind, &model, align);
-
-            for (const EncodingModelKind encoding :
-                 allEncodingModelKinds()) {
-                const EncodingModel &em = encodingModel(encoding);
-                const RelaxedLayout relaxed =
-                    relaxLayout(program, layout, em);
-                // Unconverged relaxations are the emit gate's finding;
-                // there is no trustworthy byte layout to validate.
-                if (!relaxed.converged)
-                    continue;
-
-                const std::vector<std::uint8_t> object =
-                    buildElfObject(program, relaxed, em);
-                const ObjCheckResult result =
-                    checkObject(program, relaxed, object);
-                if (result.verified())
-                    continue;
-
-                Divergence divergence;
-                divergence.kind = DivergenceKind::Disasm;
-                divergence.aligner = kind;
-                divergence.objective = objective;
-                divergence.program = program.name();
-                std::ostringstream detail;
-                detail << "  " << encodingModelKindName(encoding) << ": "
-                       << result.totalFailures() << " of "
-                       << result.totalChecks()
-                       << " byte-level obligation checks failed: "
-                       << formatObjFailure(result.failures.front())
-                       << "\n";
-                divergence.detail = detail.str();
-                return divergence;
-            }
-        }
-    }
-    return std::nullopt;
+            return std::nullopt;
+        });
 }
 
 FuzzReport
@@ -1017,78 +939,60 @@ runFuzz(const FuzzOptions &options)
     // The fuzzer sweeps wider than the paper-scoped defaults: every
     // aligner including ExtTsp, under every objective, so a finding
     // records which objective shaped the diverging layout.
-    DiffOptions first_only = options.diff;
-    first_only.maxDivergences = 1;
-    if (first_only.kinds.empty())
-        first_only.kinds = allAlignerKindsExtended();
-    if (first_only.objectives.empty())
-        first_only.objectives = allObjectiveKinds();
+    DiffOptions diff = options.diff;
+    diff.maxDivergences = 1;
+    if (diff.archs.empty())
+        diff.archs = allArchs();
+    if (diff.kinds.empty())
+        diff.kinds = allAlignerKindsExtended();
+    if (diff.objectives.empty())
+        diff.objectives = allObjectiveKinds();
 
-    const std::size_t archs = first_only.archs.empty()
-                                  ? allArchs().size()
-                                  : first_only.archs.size();
-    const std::size_t kinds = first_only.kinds.size();
-    const std::size_t objectives = first_only.objectives.size();
+    // The gates in run order: cheap static checks first, the differential
+    // oracle last, all on the same prepared program.
+    using Gate =
+        std::function<std::optional<Divergence>(const PreparedProgram &)>;
+    const Gate gates[] = {
+        [&](const PreparedProgram &p) {
+            return lintGateCheck(p.program, diff);
+        },
+        [&](const PreparedProgram &p) {
+            return verifyGateCheck(p.program, diff, options.layoutMutator);
+        },
+        [&](const PreparedProgram &p) {
+            return realignGateCheck(p.program, p.walk, diff);
+        },
+        [&](const PreparedProgram &p) {
+            return estimateGateCheck(p.program, diff);
+        },
+        [&](const PreparedProgram &p) {
+            return emitGateCheck(p.program, diff);
+        },
+        [&](const PreparedProgram &p) -> std::optional<Divergence> {
+            std::vector<Divergence> divergences = diffPrepared(p, diff);
+            if (divergences.empty())
+                return std::nullopt;
+            return std::move(divergences.front());
+        },
+    };
 
-    // One seed's full check: profile once, lint first (cheap, static),
-    // then the differential oracle on the same prepared program.
+    // One seed's full check: profile once, then every gate in order.
     auto check = [&](Program program,
                      const WalkOptions &walk) -> std::optional<Divergence> {
         const PreparedProgram prepared =
             prepareProgram(std::move(program), walk);
-        if (options.lintGate) {
-            std::optional<Divergence> hit =
-                lintGateCheck(prepared.program, first_only);
-            if (hit.has_value())
+        for (const Gate &gate : gates) {
+            if (std::optional<Divergence> hit = gate(prepared))
                 return hit;
         }
-        if (options.verifyGate) {
-            std::optional<Divergence> hit = verifyGateCheck(
-                prepared.program, first_only, options.layoutMutator);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.realignGate) {
-            std::optional<Divergence> hit = realignGateCheck(
-                prepared.program, prepared.walk, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.estimateGate) {
-            std::optional<Divergence> hit =
-                estimateGateCheck(prepared.program, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.emitGate) {
-            std::optional<Divergence> hit =
-                emitGateCheck(prepared.program, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        if (options.disasmGate) {
-            std::optional<Divergence> hit =
-                disasmGateCheck(prepared.program, first_only);
-            if (hit.has_value())
-                return hit;
-        }
-        std::vector<Divergence> divergences =
-            diffPrepared(prepared, first_only);
-        if (divergences.empty())
-            return std::nullopt;
-        return std::move(divergences.front());
+        return std::nullopt;
     };
 
     std::vector<std::optional<Divergence>> found(options.seeds);
     auto run_seed = [&](std::size_t i) {
         const std::uint64_t seed = options.firstSeed + i;
-        const WalkOptions walk = walkForSeed(seed, options.walkInstrs);
-        found[i] = check(programForSeed(seed), walk);
-        if (options.verbose && options.pool == nullptr) {
-            std::fprintf(stderr, "fuzz seed %llu: %s\n",
-                         static_cast<unsigned long long>(seed),
-                         found[i].has_value() ? "DIVERGED" : "ok");
-        }
+        found[i] = check(programForSeed(seed),
+                         walkForSeed(seed, options.walkInstrs));
     };
     if (options.pool != nullptr) {
         options.pool->parallelFor(options.seeds, run_seed);
@@ -1097,7 +1001,8 @@ runFuzz(const FuzzOptions &options)
             run_seed(i);
     }
     report.programsRun = options.seeds;
-    report.configsChecked = options.seeds * archs * kinds * objectives;
+    report.configsChecked = options.seeds * diff.archs.size() *
+                            diff.kinds.size() * diff.objectives.size();
 
     for (std::size_t i = 0; i < options.seeds; ++i) {
         if (!found[i].has_value())
@@ -1106,31 +1011,15 @@ runFuzz(const FuzzOptions &options)
         Repro repro{programForSeed(seed),
                     walkForSeed(seed, options.walkInstrs)};
         auto still_fails = [&](const Repro &candidate) {
-            Program copy = candidate.program;
-            return check(std::move(copy), candidate.walk).has_value();
+            return check(candidate.program, candidate.walk).has_value();
         };
         repro = shrinkRepro(std::move(repro), still_fails);
 
-        Program copy = repro.program;
         std::optional<Divergence> final_divergence =
-            check(std::move(copy), repro.walk);
+            check(repro.program, repro.walk);
         report.divergences.push_back(final_divergence.has_value()
                                          ? std::move(*final_divergence)
                                          : std::move(*found[i]));
-        if (report.divergences.back().kind == DivergenceKind::Lint)
-            ++report.lintHits;
-        if (report.divergences.back().kind == DivergenceKind::Verify)
-            ++report.verifyHits;
-        if (report.divergences.back().kind == DivergenceKind::Batch)
-            ++report.batchHits;
-        if (report.divergences.back().kind == DivergenceKind::Realign)
-            ++report.realignHits;
-        if (report.divergences.back().kind == DivergenceKind::Estimate)
-            ++report.estimateHits;
-        if (report.divergences.back().kind == DivergenceKind::Emit)
-            ++report.emitHits;
-        if (report.divergences.back().kind == DivergenceKind::Disasm)
-            ++report.disasmHits;
 
         std::string path;
         if (!options.corpusDir.empty()) {

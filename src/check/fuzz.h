@@ -75,51 +75,10 @@ struct FuzzOptions
     std::string corpusDir;
     /// Parallelize seeds across this pool (null = serial).
     ThreadPool *pool = nullptr;
-    /// Per-seed progress lines on stderr.
-    bool verbose = false;
-    /// Run the static linter (lint/lint.h) over the profiled program and
-    /// every layout BEFORE the differential oracle. A lint error is a
-    /// finding of its own (DivergenceKind::Lint) and shrinks exactly like
-    /// a divergence.
-    bool lintGate = true;
-    /// Run the translation-validating layout verifier (verify/verify.h)
-    /// over every layout alongside the lint gate. An undischarged proof
-    /// obligation is a finding of its own (DivergenceKind::Verify) and
-    /// shrinks exactly like a divergence.
-    bool verifyGate = true;
     /// Test hook: corrupts each layout between alignment and
-    /// verification (see verify/driver.h), proving the gate catches
-    /// injected bugs end to end.
+    /// verification (see verify/driver.h), proving the verify gate
+    /// catches injected bugs end to end.
     LayoutMutator layoutMutator;
-    /// Perturb the profile and run incremental realignment
-    /// (core/realign.h) against a full realignment: threshold 0 must be
-    /// byte-identical to the full layout, threshold infinity to the old
-    /// one, and a mid-threshold splice must verify. A violation is a
-    /// finding of its own (DivergenceKind::Realign) and shrinks exactly
-    /// like a divergence.
-    bool realignGate = true;
-    /// Estimate a static profile for the program (estimate/estimate.h)
-    /// and check it passes the prof.*/est.* invariants and that every
-    /// aligner x objective pair produces a verifiable layout from it. A
-    /// violation is a finding of its own (DivergenceKind::Estimate) and
-    /// shrinks exactly like a divergence.
-    bool estimateGate = true;
-    /// Relax every aligner's layout under every encoding model
-    /// (emit/relax.h) and check the emission contract: convergence, the
-    /// relaxed-layout proof obligations, fixpoint determinism (a second
-    /// relaxation is byte-identical), and an ELF object that round-trips
-    /// through the self-contained reader with text bytes matching the
-    /// encoder. A violation is a finding of its own (DivergenceKind::Emit)
-    /// and shrinks exactly like a divergence.
-    bool emitGate = true;
-    /// Emit every aligner's layout under every encoding model, decode
-    /// the object with the independent disassembler (disasm/disasm.h)
-    /// and discharge the byte-level obligations (disasm/checkobj.h):
-    /// decode totality, branch targets, relocation correctness, CFG
-    /// isomorphism and size accounting. A violation is a finding of its
-    /// own (DivergenceKind::Disasm) and shrinks exactly like a
-    /// divergence.
-    bool disasmGate = true;
 };
 
 /// Campaign outcome.
@@ -127,31 +86,14 @@ struct FuzzReport
 {
     std::uint64_t programsRun = 0;
     std::uint64_t configsChecked = 0;
-    /// Findings of kind DivergenceKind::Lint among `divergences`.
-    std::uint64_t lintHits = 0;
-    /// Findings of kind DivergenceKind::Verify among `divergences`.
-    std::uint64_t verifyHits = 0;
-    /// Findings of kind DivergenceKind::Batch among `divergences`
-    /// (batched replay engine vs oracle).
-    std::uint64_t batchHits = 0;
-    /// Findings of kind DivergenceKind::Realign among `divergences`
-    /// (incremental vs full realignment).
-    std::uint64_t realignHits = 0;
-    /// Findings of kind DivergenceKind::Estimate among `divergences`
-    /// (static estimator broke an invariant or produced an unalignable
-    /// profile).
-    std::uint64_t estimateHits = 0;
-    /// Findings of kind DivergenceKind::Emit among `divergences`
-    /// (relaxation or ELF emission broke its contract).
-    std::uint64_t emitHits = 0;
-    /// Findings of kind DivergenceKind::Disasm among `divergences`
-    /// (an emitted object failed the byte-level translation validator).
-    std::uint64_t disasmHits = 0;
     /// First divergence per diverging seed, AFTER shrinking.
     std::vector<Divergence> divergences;
     /// Repro files written (parallel to divergences; empty string when
     /// corpusDir was not set).
     std::vector<std::string> reproPaths;
+
+    /// Findings of @p kind among `divergences`.
+    std::size_t hits(DivergenceKind kind) const;
 };
 
 /**
@@ -201,32 +143,29 @@ std::optional<Divergence> estimateGateCheck(const Program &program,
                                             const DiffOptions &options = {});
 
 /**
- * The fuzzer's emission gate: aligns @p program under every configured
- * (aligner, objective) pair, relaxes each layout under every encoding
- * model, and checks the full emission contract — convergence, the
+ * The fuzzer's emission and binary-validation gate: aligns @p program
+ * under every configured (aligner, objective) pair and relaxes each
+ * layout under every encoding model into one ELF object, which both
+ * checks read. The emission contract comes first — convergence, the
  * relaxed-layout proof obligations (verify/verify.h), a byte-identical
- * second relaxation, the fixed-word byteAddr == wordAddr * kInstrBytes
- * identity, and an ELF object (emit/elf.h) that parses back with text
- * bytes equal to the encoder's. Returns a DivergenceKind::Emit finding,
- * or nullopt when the backend holds up.
+ * second relaxation, and an object (emit/elf.h) that parses back with
+ * text bytes equal to the encoder's — and a violation is a
+ * DivergenceKind::Emit finding. The same object is then decoded with the
+ * independent disassembler and its byte-level obligations
+ * (disasm/checkobj.h) discharged against the relaxed layout; the first
+ * failed one is a DivergenceKind::Disasm finding. Returns nullopt when
+ * every object holds up.
  */
 std::optional<Divergence> emitGateCheck(const Program &program,
                                         const DiffOptions &options = {});
 
 /**
- * The fuzzer's binary-validation gate: aligns @p program under every
- * configured (aligner, objective) pair, emits an ELF object under every
- * encoding model, decodes it with the independent disassembler and
- * discharges the byte-level obligation family (disasm/checkobj.h)
- * against the relaxed layout. Unconverged relaxations are skipped — the
- * emit gate owns that finding. Returns a DivergenceKind::Disasm finding
- * carrying the first failed obligation, or nullopt when every object
- * validates.
+ * Runs the campaign: seeds -> programs -> gates -> shrink -> corpus.
+ * Each seed's program is profiled once and run through the gates in
+ * order, cheapest first — lint, verify, realign, estimate, emit (with
+ * disasm), then the differential oracle — stopping at the first finding.
+ * Every finding, whatever its kind, shrinks like a divergence.
  */
-std::optional<Divergence> disasmGateCheck(const Program &program,
-                                          const DiffOptions &options = {});
-
-/// Runs the campaign: seeds -> programs -> differ -> shrink -> corpus.
 FuzzReport runFuzz(const FuzzOptions &options);
 
 /**

@@ -311,14 +311,23 @@ figure4Suite()
     return result;
 }
 
-ProgramSpec
-suiteSpec(const std::string &name)
+std::optional<ProgramSpec>
+findSuiteSpec(const std::string &name)
 {
     for (const auto &spec : benchmarkSuite()) {
         if (spec.name == name)
             return spec;
     }
-    fatal("unknown suite program '%s'", name.c_str());
+    return std::nullopt;
+}
+
+ProgramSpec
+suiteSpec(const std::string &name)
+{
+    std::optional<ProgramSpec> spec = findSuiteSpec(name);
+    if (!spec.has_value())
+        fatal("unknown suite program '%s'", name.c_str());
+    return std::move(*spec);
 }
 
 }  // namespace balign

@@ -15,6 +15,7 @@
 #ifndef BALIGN_WORKLOAD_SUITE_H
 #define BALIGN_WORKLOAD_SUITE_H
 
+#include <optional>
 #include <vector>
 
 #include "workload/spec.h"
@@ -28,6 +29,9 @@ std::vector<ProgramSpec> benchmarkSuite();
 /// The SPEC92 C programs used for the paper's Figure 4 execution-time
 /// experiment: alvinn, ear, compress, eqntott, espresso, gcc, li, sc.
 std::vector<ProgramSpec> figure4Suite();
+
+/// Looks up a suite spec by name; nullopt when absent.
+std::optional<ProgramSpec> findSuiteSpec(const std::string &name);
 
 /// Looks up a suite spec by name; fatal() when absent.
 ProgramSpec suiteSpec(const std::string &name);

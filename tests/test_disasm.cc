@@ -725,8 +725,7 @@ TEST(ObjLint, UnreachableDecodedBlockIsReported)
 TEST(DisasmGate, CleanOnWellFormedProgram)
 {
     EXPECT_STREQ(divergenceKindName(DivergenceKind::Disasm), "disasm");
-    const std::optional<Divergence> divergence =
-        disasmGateCheck(emitBase());
+    const std::optional<Divergence> divergence = emitGateCheck(emitBase());
     EXPECT_FALSE(divergence.has_value())
         << formatDivergence(*divergence);
 }

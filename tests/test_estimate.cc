@@ -179,3 +179,19 @@ TEST(EstimateCorpus, GoldenJsonReportsMatch)
             << " drifted from its golden";
     }
 }
+
+// ---------------------------------------------------------------------
+// Fuzzer estimate gate.
+
+TEST(EstimateGate, CleanOnCorpusUnderEveryAlignerAndObjective)
+{
+    DiffOptions options;
+    options.kinds = allAlignerKindsExtended();
+    options.objectives = allObjectiveKinds();
+    for (const std::string name : {"est-irreducible", "est-tie"}) {
+        const std::optional<Divergence> finding =
+            estimateGateCheck(loadCorpus(name + ".balign"), options);
+        EXPECT_FALSE(finding.has_value())
+            << name << "\n" << formatDivergence(*finding);
+    }
+}

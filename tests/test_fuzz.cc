@@ -193,7 +193,7 @@ TEST(Fuzz, PlainProgramFilesLoadWithDefaultWalk)
     // A corpus file without the magic comment is still a repro; it gets
     // default walk options.
     const std::string path = testing::TempDir() + "balign-plain.balign";
-    saveProgram(shrinkableProgram(), path);
+    ASSERT_TRUE(saveProgram(shrinkableProgram(), path));
     const auto loaded = loadRepro(path);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->walk.seed, WalkOptions{}.seed);

@@ -241,6 +241,13 @@ TEST(SuiteDeath, UnknownNameIsFatal)
     EXPECT_DEATH(suiteSpec("does-not-exist"), "unknown suite program");
 }
 
+TEST(Suite, FindSuiteSpecReportsUnknownName)
+{
+    EXPECT_FALSE(findSuiteSpec("does-not-exist").has_value());
+    ASSERT_TRUE(findSuiteSpec("compress").has_value());
+    EXPECT_EQ(findSuiteSpec("compress")->name, "compress");
+}
+
 TEST(Suite, FpProgramsAreLessBranchyThanInt)
 {
     // The headline Table-2 distinction: FP programs break control flow

@@ -184,10 +184,15 @@ TEST(Serialize, FileRoundTrip)
 {
     const Program original = figure2Alvinn();
     const std::string path = "/tmp/balign_serialize_test.prog";
-    saveProgram(original, path);
+    ASSERT_TRUE(saveProgram(original, path));
     const ParseResult parsed = loadProgram(path);
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     expectEqualPrograms(original, *parsed.program);
+}
+
+TEST(Serialize, SaveToUnwritablePathReportsFailure)
+{
+    EXPECT_FALSE(saveProgram(figure2Alvinn(), "/nonexistent/path/prog"));
 }
 
 TEST(Serialize, LoadMissingFileReportsError)

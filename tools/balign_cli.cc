@@ -106,10 +106,13 @@
  *       in-memory objects for all 24 benchmark programs and -o DIR
  *       writes one certificate file per program.
  *
- *   Exit-code contract (lint, verify, emit and check-obj): 0 = clean,
- *   1 = findings (lint errors / failed proof obligations / unconverged
- *   relaxation / undischarged byte-level obligations), 2 = usage or IO
- *   error. Other subcommands exit 1 on any error.
+ *   Exit-code contract, the same for every subcommand: 0 = clean,
+ *   1 = findings (fuzz or repro divergences / lint errors / failed proof
+ *   obligations / unconverged relaxation / undischarged byte-level
+ *   obligations), 2 = usage or IO error (unknown command, option or
+ *   value, a malformed number, a missing or unreadable input, an
+ *   unwritable output). Every usage or IO error goes through
+ *   usageError().
  *
  * Architectures: fallthrough btfnt likely pht gshare btb-small btb-large.
  * Algorithms: greedy cost try15 exttsp.
@@ -119,11 +122,17 @@
  * fallback splice; fuzz/repro sweep both objectives unless one is forced.
  */
 
+#include <algorithm>
+#include <charconv>
+#include <cstdarg>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,7 +146,6 @@
 #include "emit/elf.h"
 #include "lint/rules.h"
 #include "estimate/estimate.h"
-#include "layout/materialize.h"
 #include "lint/lint.h"
 #include "profile/degrade.h"
 #include "sim/runner.h"
@@ -154,31 +162,110 @@ using namespace balign;
 
 namespace {
 
+/// Reports a usage or IO error on stderr and exits 2, the code every
+/// subcommand reserves for such errors (1 means findings).
+[[noreturn]] __attribute__((format(printf, 1, 2))) void
+usageError(const char *fmt, ...)
+{
+    std::va_list ap;
+    va_start(ap, fmt);
+    std::fputs("balign: ", stderr);
+    std::vfprintf(stderr, fmt, ap);
+    std::fputc('\n', stderr);
+    va_end(ap);
+    std::exit(2);
+}
+
+/// The value of a numeric flag: all of @p text must read as a T, so a
+/// stray character, a sign on an unsigned flag or an out-of-range value
+/// is a usage error.
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end)
+        usageError("%s: '%s' is not a valid value", flag.c_str(),
+                   text.c_str());
+    return value;
+}
+
+/// The value @p parse maps @p name to; a usage error naming @p what when
+/// it maps to nothing.
+template <typename Parse>
+auto
+parseNamed(Parse parse, const char *what, const std::string &name)
+{
+    const auto value = parse(name);
+    if (!value.has_value())
+        usageError("unknown %s '%s'", what, name.c_str());
+    return *value;
+}
+
+/// The value @p table lists for @p name; a usage error naming @p what
+/// when it lists none.
+template <typename T, std::size_t N>
+T
+parseNamed(const std::pair<const char *, T> (&table)[N], const char *what,
+           const std::string &name)
+{
+    for (const auto &[key, value] : table) {
+        if (name == key)
+            return value;
+    }
+    usageError("unknown %s '%s'", what, name.c_str());
+}
+
+const std::pair<const char *, Arch> kArchs[] = {
+    {"fallthrough", Arch::Fallthrough}, {"btfnt", Arch::BtFnt},
+    {"likely", Arch::Likely},           {"pht", Arch::PhtDirect},
+    {"gshare", Arch::PhtCorrelated},    {"btb-small", Arch::BtbSmall},
+    {"btb-large", Arch::BtbLarge},      {"btb", Arch::BtbLarge},
+};
+
+const std::pair<const char *, AlignerKind> kAlgos[] = {
+    {"greedy", AlignerKind::Greedy},   {"cost", AlignerKind::Cost},
+    {"try15", AlignerKind::Try15},     {"tryn", AlignerKind::Try15},
+    {"exttsp", AlignerKind::ExtTsp},   {"ext-tsp", AlignerKind::ExtTsp},
+    {"original", AlignerKind::Original},
+};
+
 struct Args
 {
     std::vector<std::string> positional;
     std::string output;
-    std::string arch = "btfnt";
-    std::string algo = "try15";
-    bool algoSet = false;
-    std::string objective = "table-cost";
-    bool objectiveSet = false;
-    std::string encoding = "variable";
-    bool encodingSet = false;
-    std::uint64_t instrs = 2'000'000;
-    bool instrsSet = false;
+    Arch arch = Arch::BtFnt;
+    std::optional<AlignerKind> algo;
+    std::optional<ObjectiveKind> objective;
+    std::optional<EncodingModelKind> encoding;
+    std::optional<std::uint64_t> instrs;
     std::uint64_t seed = 1;
     std::uint64_t seeds = 100;
-    unsigned factor = 4;
-    Weight minWeight = 1000;
+    UnrollOptions unroll{.factor = 4, .minWeight = 1000};
     std::size_t groupSize = 15;
     ProcId procId = 0;
     bool suite = false;
     bool json = false;
-    std::string degradeKind;
-    std::uint32_t degradeN = 8;
-    double degradeParam = 0.25;
-    std::uint64_t degradeSeed = 1;
+    std::optional<DegradeKind> degradeKind;
+    DegradeSpec degrade{.n = 8, .param = 0.25};
+
+    /// --objective, defaulting to the paper's Table-1 cost.
+    ObjectiveKind
+    objectiveOrDefault() const
+    {
+        return objective.value_or(ObjectiveKind::TableCost);
+    }
+
+    /// The forced --objective, or every objective.
+    std::vector<ObjectiveKind>
+    sweptObjectives() const
+    {
+        return objective.has_value()
+                   ? std::vector<ObjectiveKind>{*objective}
+                   : allObjectiveKinds();
+    }
 };
 
 Args
@@ -189,152 +276,140 @@ parseArgs(int argc, char **argv)
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
+                usageError("missing value for %s", arg.c_str());
             return argv[++i];
         };
         if (arg == "-o" || arg == "--output")
             args.output = next();
         else if (arg == "--arch")
-            args.arch = next();
-        else if (arg == "--algo") {
-            args.algo = next();
-            args.algoSet = true;
-        }
-        else if (arg == "--encoding") {
-            args.encoding = next();
-            args.encodingSet = true;
-        }
-        else if (arg == "--objective") {
-            args.objective = next();
-            args.objectiveSet = true;
-        }
-        else if (arg == "--instrs") {
-            args.instrs = std::strtoull(next().c_str(), nullptr, 10);
-            args.instrsSet = true;
-        } else if (arg == "--seed")
-            args.seed = std::strtoull(next().c_str(), nullptr, 10);
+            args.arch = parseNamed(kArchs, "architecture", next());
+        else if (arg == "--algo")
+            args.algo = parseNamed(kAlgos, "algorithm", next());
+        else if (arg == "--encoding")
+            args.encoding =
+                parseNamed(parseEncodingModelKind, "encoding", next());
+        else if (arg == "--objective")
+            args.objective =
+                parseNamed(parseObjectiveKind, "objective", next());
+        else if (arg == "--instrs")
+            args.instrs = parseNumber<std::uint64_t>(arg, next());
+        else if (arg == "--seed")
+            args.seed = parseNumber<std::uint64_t>(arg, next());
         else if (arg == "--seeds")
-            args.seeds = std::strtoull(next().c_str(), nullptr, 10);
+            args.seeds = parseNumber<std::uint64_t>(arg, next());
         else if (arg == "--factor")
-            args.factor =
-                static_cast<unsigned>(std::strtoul(next().c_str(), nullptr, 10));
+            args.unroll.factor = parseNumber<unsigned>(arg, next());
         else if (arg == "--min-weight")
-            args.minWeight = std::strtoull(next().c_str(), nullptr, 10);
+            args.unroll.minWeight = parseNumber<Weight>(arg, next());
         else if (arg == "--group")
-            args.groupSize = std::strtoull(next().c_str(), nullptr, 10);
+            args.groupSize = parseNumber<std::size_t>(arg, next());
         else if (arg == "--proc")
-            args.procId =
-                static_cast<ProcId>(std::strtoul(next().c_str(), nullptr, 10));
+            args.procId = parseNumber<ProcId>(arg, next());
         else if (arg == "--kind")
-            args.degradeKind = next();
+            args.degradeKind = parseNamed(parseDegradeKind, "kind", next());
         else if (arg == "-n")
-            args.degradeN =
-                static_cast<std::uint32_t>(std::strtoul(next().c_str(),
-                                                        nullptr, 10));
+            args.degrade.n = parseNumber<std::uint32_t>(arg, next());
         else if (arg == "--param")
-            args.degradeParam = std::strtod(next().c_str(), nullptr);
+            args.degrade.param = parseNumber<double>(arg, next());
         else if (arg == "--degrade-seed")
-            args.degradeSeed = std::strtoull(next().c_str(), nullptr, 10);
+            args.degrade.seed = parseNumber<std::uint64_t>(arg, next());
         else if (arg == "--suite")
             args.suite = true;
         else if (arg == "--json")
             args.json = true;
         else if (!arg.empty() && arg[0] == '-')
-            fatal("unknown option '%s'", arg.c_str());
+            usageError("unknown option '%s'", arg.c_str());
         else
             args.positional.push_back(arg);
     }
     return args;
 }
 
-Arch
-parseArch(const std::string &name)
+/// The first positional argument, which @p command requires.
+const std::string &
+input(const Args &args, const char *command)
 {
-    if (name == "fallthrough")
-        return Arch::Fallthrough;
-    if (name == "btfnt")
-        return Arch::BtFnt;
-    if (name == "likely")
-        return Arch::Likely;
-    if (name == "pht")
-        return Arch::PhtDirect;
-    if (name == "gshare")
-        return Arch::PhtCorrelated;
-    if (name == "btb-small")
-        return Arch::BtbSmall;
-    if (name == "btb-large" || name == "btb")
-        return Arch::BtbLarge;
-    fatal("unknown architecture '%s'", name.c_str());
+    if (args.positional.empty())
+        usageError("%s: need an input file", command);
+    return args.positional[0];
 }
 
-AlignerKind
-parseAlgo(const std::string &name)
-{
-    if (name == "greedy")
-        return AlignerKind::Greedy;
-    if (name == "cost")
-        return AlignerKind::Cost;
-    if (name == "try15" || name == "tryn")
-        return AlignerKind::Try15;
-    if (name == "exttsp" || name == "ext-tsp")
-        return AlignerKind::ExtTsp;
-    if (name == "original")
-        return AlignerKind::Original;
-    fatal("unknown algorithm '%s'", name.c_str());
-}
-
-ObjectiveKind
-parseObjective(const std::string &name)
-{
-    const std::optional<ObjectiveKind> kind = parseObjectiveKind(name);
-    if (!kind.has_value())
-        fatal("unknown objective '%s'", name.c_str());
-    return *kind;
-}
-
-Program
-loadOrDie(const std::string &path)
-{
-    ParseResult parsed = loadProgram(path);
-    if (!parsed.ok()) {
-        fatal("%s:%zu: %s", path.c_str(), parsed.errorLine,
-              parsed.error.c_str());
-    }
-    return std::move(*parsed.program);
-}
-
+/// Writes @p program to @p output, or to stdout when it is empty.
 void
 emit(const Program &program, const std::string &output)
 {
     if (output.empty())
         writeProgram(program, std::cout);
-    else
-        saveProgram(program, output);
+    else if (!saveProgram(program, output))
+        usageError("cannot write %s", output.c_str());
+}
+
+/// Records a fresh edge profile for @p program from one walk.
+ProgramStats
+profileWith(Program &program, const WalkOptions &options)
+{
+    program.clearWeights();
+    Profiler profiler(program);
+    walk(program, options, profiler);
+    return profiler.stats();
+}
+
+/// The walk --seed and --instrs (default @p budget) describe.
+WalkOptions
+walkOf(const Args &args, std::uint64_t budget = 2'000'000)
+{
+    return WalkOptions{.seed = args.seed,
+                       .instrBudget = args.instrs.value_or(budget)};
+}
+
+/**
+ * Loads @p path as a repro (any serialized program; repro files carry
+ * their walk parameters), with --instrs overriding the walk budget. When
+ * @p profile is set, inputs with a measured profile are re-profiled with
+ * that walk; a degraded or estimated profile (the serialized
+ * `profile <tag>` line) is kept as-is, since re-walking would clobber the
+ * very weights under test and re-tag them Measured.
+ */
+Repro
+loadInput(const Args &args, const char *command, const std::string &path,
+          bool profile)
+{
+    std::optional<Repro> repro = loadRepro(path);
+    if (!repro.has_value())
+        usageError("%s: cannot load %s", command, path.c_str());
+    if (args.instrs.has_value())
+        repro->walk.instrBudget = *args.instrs;
+    if (profile &&
+        repro->program.profileProvenance() == ProfileProvenance::Measured)
+        profileWith(repro->program, repro->walk);
+    return std::move(*repro);
+}
+
+/// The file @p command names as its first argument, as loadInput reads
+/// it without profiling.
+Repro
+loadArg(const Args &args, const char *command)
+{
+    return loadInput(args, command, input(args, command), /*profile=*/false);
 }
 
 int
 cmdGenerate(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("generate: need a suite program name");
-    ProgramSpec spec = suiteSpec(args.positional[0]);
-    spec.traceInstrs = args.instrs;
-    emit(generateProgram(spec), args.output);
+    const std::string &name = input(args, "generate");
+    std::optional<ProgramSpec> spec = findSuiteSpec(name);
+    if (!spec.has_value())
+        usageError("generate: unknown suite program '%s'", name.c_str());
+    spec->traceInstrs = walkOf(args).instrBudget;
+    emit(generateProgram(*spec), args.output);
     return 0;
 }
 
 int
 cmdProfile(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("profile: need an input file");
-    Program program = loadOrDie(args.positional[0]);
-    program.clearWeights();
-    Profiler profiler(program);
-    WalkOptions options;
-    options.seed = args.seed;
-    options.instrBudget = args.instrs;
-    walk(program, options, profiler);
+    Program program = loadArg(args, "profile").program;
+    profileWith(program, walkOf(args));
     emit(program, args.output);
     return 0;
 }
@@ -342,16 +417,8 @@ cmdProfile(const Args &args)
 int
 cmdStats(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("stats: need an input file");
-    Program program = loadOrDie(args.positional[0]);
-    program.clearWeights();
-    Profiler profiler(program);
-    WalkOptions options;
-    options.seed = args.seed;
-    options.instrBudget = args.instrs;
-    walk(program, options, profiler);
-    const ProgramStats s = profiler.stats();
+    Program program = loadArg(args, "stats").program;
+    const ProgramStats s = profileWith(program, walkOf(args));
 
     std::printf("program: %s\n", program.name().c_str());
     std::printf("instructions traced: %s\n",
@@ -372,15 +439,13 @@ cmdStats(const Args &args)
 int
 cmdAlign(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("align: need an input file");
-    const Program program = loadOrDie(args.positional[0]);
-    const Arch arch = parseArch(args.arch);
-    const AlignerKind kind = parseAlgo(args.algo);
+    const Program program = loadArg(args, "align").program;
+    const Arch arch = args.arch;
+    const AlignerKind kind = args.algo.value_or(AlignerKind::Try15);
     const CostModel model(arch);
     AlignOptions options;
     options.groupSize = args.groupSize;
-    options.objective = parseObjective(args.objective);
+    options.objective = args.objectiveOrDefault();
     const ProgramLayout layout =
         alignProgram(program, kind, &model, options);
 
@@ -403,25 +468,15 @@ cmdAlign(const Args &args)
 int
 cmdEvaluate(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("evaluate: need an input file");
-    Program program = loadOrDie(args.positional[0]);
-    const Arch arch = parseArch(args.arch);
-
-    WalkOptions walk_options;
-    walk_options.seed = args.seed;
-    walk_options.instrBudget = args.instrs;
+    Program program = loadArg(args, "evaluate").program;
+    const Arch arch = args.arch;
     const PreparedProgram prepared =
-        prepareProgram(std::move(program), walk_options);
+        prepareProgram(std::move(program), walkOf(args));
 
-    const ObjectiveKind objective = parseObjective(args.objective);
-    const std::vector<ExperimentConfig> configs = {
-        {arch, AlignerKind::Original, objective},
-        {arch, AlignerKind::Greedy, objective},
-        {arch, AlignerKind::Cost, objective},
-        {arch, AlignerKind::Try15, objective},
-        {arch, AlignerKind::ExtTsp, objective},
-    };
+    const ObjectiveKind objective = args.objectiveOrDefault();
+    std::vector<ExperimentConfig> configs;
+    for (const AlignerKind kind : allAlignerKindsExtended())
+        configs.push_back({arch, kind, objective});
     // Alignments and per-configuration replays run on the thread pool
     // (BALIGN_THREADS; results are identical for any thread count).
     ThreadPool pool(defaultThreads());
@@ -453,14 +508,9 @@ cmdEvaluate(const Args &args)
 int
 cmdUnroll(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("unroll: need an input file");
-    Program program = loadOrDie(args.positional[0]);
-    UnrollOptions options;
-    options.factor = args.factor;
-    options.minWeight = args.minWeight;
-    const unsigned loops = unrollSelfLoops(program, options);
-    inform("unrolled %u loops (factor %u)", loops, args.factor);
+    Program program = loadArg(args, "unroll").program;
+    const unsigned loops = unrollSelfLoops(program, args.unroll);
+    inform("unrolled %u loops (factor %u)", loops, args.unroll.factor);
     emit(program, args.output);
     return 0;
 }
@@ -468,23 +518,11 @@ cmdUnroll(const Args &args)
 int
 cmdDegrade(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("degrade: need an input file");
-    if (args.degradeKind.empty())
-        fatal("degrade: need --kind "
-              "(none|sample|stale|perturb|merge|drift)");
-    const std::optional<DegradeKind> kind =
-        parseDegradeKind(args.degradeKind);
-    if (!kind.has_value())
-        fatal("degrade: unknown kind '%s'", args.degradeKind.c_str());
-
-    std::optional<Repro> repro = loadRepro(args.positional[0]);
-    if (!repro.has_value())
-        fatal("degrade: cannot load %s", args.positional[0].c_str());
-    Program program = std::move(repro->program);
-    WalkOptions walk_options = repro->walk;
-    if (args.instrsSet)
-        walk_options.instrBudget = args.instrs;
+    if (!args.degradeKind.has_value())
+        usageError("degrade: need --kind "
+                   "(none|sample|stale|perturb|merge|drift)");
+    Repro repro = loadArg(args, "degrade");
+    Program &program = repro.program;
 
     auto total_weight = [](const Program &p) {
         Weight total = 0;
@@ -496,19 +534,14 @@ cmdDegrade(const Args &args)
     // The transforms degrade a recorded profile; bare CFGs (e.g. straight
     // from `balign generate`) are profiled first with the walk parameters
     // above so the subcommand composes without a separate `profile` step.
-    if (total_weight(program) == 0) {
-        Profiler profiler(program);
-        walk(program, walk_options, profiler);
-    }
+    if (total_weight(program) == 0)
+        profileWith(program, repro.walk);
 
-    DegradeSpec spec;
-    spec.kind = *kind;
-    spec.n = args.degradeN;
-    spec.param = args.degradeParam;
-    spec.seed = args.degradeSeed;
+    DegradeSpec spec = args.degrade;
+    spec.kind = *args.degradeKind;
 
     const Weight before = total_weight(program);
-    degradeProfile(program, walk_options, spec);
+    degradeProfile(program, repro.walk, spec);
     inform("degrade %s: total edge weight %s -> %s",
            degradeSpecLabel(spec).c_str(), withCommas(before).c_str(),
            withCommas(total_weight(program)).c_str());
@@ -519,11 +552,9 @@ cmdDegrade(const Args &args)
 int
 cmdDot(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("dot: need an input file");
-    const Program program = loadOrDie(args.positional[0]);
+    const Program program = loadArg(args, "dot").program;
     if (args.procId >= program.numProcs())
-        fatal("procedure %u out of range", args.procId);
+        usageError("dot: procedure %u out of range", args.procId);
     writeDot(program.proc(args.procId), std::cout);
     return 0;
 }
@@ -531,13 +562,16 @@ cmdDot(const Args &args)
 int
 cmdFuzz(const Args &args)
 {
+    std::error_code error;
+    if (!args.output.empty() &&
+        !std::filesystem::is_directory(args.output, error))
+        usageError("fuzz: %s is not a directory", args.output.c_str());
     FuzzOptions options;
     options.seeds = args.seeds;
     options.firstSeed = args.seed;
-    options.walkInstrs = args.instrsSet ? args.instrs : 20'000;
+    options.walkInstrs = walkOf(args, 20'000).instrBudget;
     options.corpusDir = args.output;
-    if (args.objectiveSet)
-        options.diff.objectives = {parseObjective(args.objective)};
+    options.diff.objectives = args.sweptObjectives();
     ThreadPool pool(defaultThreads());
     options.pool = &pool;
 
@@ -560,32 +594,22 @@ cmdFuzz(const Args &args)
 int
 cmdRepro(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("repro: need a repro file");
-    std::optional<Repro> repro = loadRepro(args.positional[0]);
-    if (!repro.has_value())
-        fatal("repro: cannot load %s", args.positional[0].c_str());
-    if (args.instrsSet)
-        repro->walk.instrBudget = args.instrs;
+    Repro repro = loadArg(args, "repro");
 
     DiffOptions options;
     options.maxDivergences = 0;  // report every diverging configuration
-    // Replay the fuzzer's full sweep: all five aligners, both objectives
+    // Replay the fuzzer's full sweep: all five aligners, every objective
     // (or just the forced one).
     options.kinds = allAlignerKindsExtended();
-    options.objectives = args.objectiveSet
-                             ? std::vector<ObjectiveKind>{parseObjective(
-                                   args.objective)}
-                             : allObjectiveKinds();
+    options.objectives = args.sweptObjectives();
     const std::vector<Divergence> divergences =
-        diffProgram(std::move(repro->program), repro->walk, options);
+        diffProgram(std::move(repro.program), repro.walk, options);
     if (divergences.empty()) {
         std::printf("no divergence: oracle and production agree on "
                     "%s (walk seed %llu, budget %llu)\n",
                     args.positional[0].c_str(),
-                    static_cast<unsigned long long>(repro->walk.seed),
-                    static_cast<unsigned long long>(
-                        repro->walk.instrBudget));
+                    static_cast<unsigned long long>(repro.walk.seed),
+                    static_cast<unsigned long long>(repro.walk.instrBudget));
         return 0;
     }
     for (const Divergence &divergence : divergences)
@@ -594,136 +618,129 @@ cmdRepro(const Args &args)
     return 1;
 }
 
+using Inputs = std::vector<std::pair<std::string, Program>>;
+
 /**
- * Collects (display name, profiled program) pairs for the static
- * subcommands (lint / verify / estimate): either the 24-program
- * benchmark suite or the given files, profiled with their embedded walk
- * parameters (estimate passes profile=false — it synthesizes weights
- * from the CFG alone, so the walk would be wasted work). Returns 0, or 2
- * for a usage or IO error (printed to stderr) — the static subcommands
- * reserve exit 1 for findings.
+ * Collects (display name, program) pairs for the subcommands that take
+ * `<FILE>...|--suite`: either the 24-program benchmark suite, profiled
+ * with --seed/--instrs, or the given files (see loadInput). estimate
+ * passes profile=false — it synthesizes weights from the CFG alone, so
+ * the walk would be wasted work.
  */
-int
+Inputs
 collectStaticInputs(const Args &args, const char *command,
-                    std::vector<std::pair<std::string, Program>> &inputs,
                     bool profile = true)
 {
-    auto profile_with = [](Program &program, std::uint64_t seed,
-                           std::uint64_t budget) {
-        program.clearWeights();
-        Profiler profiler(program);
-        WalkOptions walk_options;
-        walk_options.seed = seed;
-        walk_options.instrBudget = budget;
-        walk(program, walk_options, profiler);
-    };
-
+    Inputs inputs;
     if (args.suite) {
         for (const ProgramSpec &spec : benchmarkSuite()) {
             Program program = generateProgram(spec);
             if (profile)
-                profile_with(program, args.seed, args.instrs);
+                profileWith(program, walkOf(args));
             inputs.emplace_back(program.name(), std::move(program));
         }
-        return 0;
+        return inputs;
     }
-    if (args.positional.empty()) {
-        std::fprintf(stderr, "%s: need input files or --suite\n", command);
-        return 2;
+    if (args.positional.empty())
+        usageError("%s: need input files or --suite", command);
+    for (const std::string &path : args.positional)
+        inputs.emplace_back(path,
+                            loadInput(args, command, path, profile).program);
+    return inputs;
+}
+
+/// The JSON array --json wraps around one report per input on stdout:
+/// "[\n", the elements joined by ",\n", then "\n]\n".
+class JsonArray
+{
+  public:
+    explicit JsonArray(bool json) : enabled_(json)
+    {
+        if (enabled_)
+            std::cout << "[\n";
     }
-    for (const std::string &path : args.positional) {
-        std::optional<Repro> repro = loadRepro(path);
-        if (!repro.has_value()) {
-            std::fprintf(stderr, "%s: cannot load %s\n", command,
-                         path.c_str());
-            return 2;
-        }
-        if (args.instrsSet)
-            repro->walk.instrBudget = args.instrs;
-        // Inputs carrying a degraded or estimated profile (the serialized
-        // `profile <tag>` line) are linted as-is: re-walking would clobber
-        // the very weights under test and re-tag them Measured.
-        if (profile &&
-            repro->program.profileProvenance() == ProfileProvenance::Measured)
-            profile_with(repro->program, repro->walk.seed,
-                         repro->walk.instrBudget);
-        inputs.emplace_back(path, std::move(repro->program));
+
+    /// The stream for the next element, after its separator.
+    std::ostream &
+    next()
+    {
+        std::cout << (first_ ? "" : ",\n");
+        first_ = false;
+        return std::cout;
     }
-    return 0;
+
+    void
+    close() const
+    {
+        if (enabled_)
+            std::cout << "\n]\n";
+    }
+
+  private:
+    bool enabled_;
+    bool first_ = true;
+};
+
+/// Writes one certificate file, DIR/<program><suffix> with '/' and '\\'
+/// in the program name turned into '_', through @p write.
+void
+writeCertificate(const std::string &dir, std::string program,
+                 const std::string &suffix,
+                 const std::function<void(std::ostream &)> &write)
+{
+    std::replace(program.begin(), program.end(), '/', '_');
+    std::replace(program.begin(), program.end(), '\\', '_');
+    const std::string path = dir + "/" + program + suffix;
+    std::ofstream out(path);
+    if (!out)
+        usageError("cannot write %s", path.c_str());
+    write(out);
+    out << "\n";
 }
 
 int
 cmdEstimate(const Args &args)
 {
-    std::vector<std::pair<std::string, Program>> inputs;
-    if (const int status = collectStaticInputs(args, "estimate", inputs,
-                                               /*profile=*/false))
-        return status;
-    if (!args.output.empty() && inputs.size() != 1) {
-        std::fprintf(stderr,
-                     "estimate: -o needs exactly one input program\n");
-        return 2;
-    }
+    Inputs inputs =
+        collectStaticInputs(args, "estimate", /*profile=*/false);
+    if (!args.output.empty() && inputs.size() != 1)
+        usageError("estimate: -o needs exactly one input program");
 
-    bool first = true;
-    if (args.json)
-        std::cout << "[\n";
+    JsonArray array(args.json);
     for (auto &[name, program] : inputs) {
         const EstimateReport report = estimateProfile(program);
-        if (args.json) {
-            if (!first)
-                std::cout << ",\n";
-            writeEstimateReportJson(report, program, std::cout);
-        } else {
+        if (args.json)
+            writeEstimateReportJson(report, program, array.next());
+        else
             std::cout << formatEstimateReport(report, program);
-        }
-        first = false;
     }
-    if (args.json)
-        std::cout << "\n]\n";
+    array.close();
     if (!args.output.empty())
-        saveProgram(inputs.front().second, args.output);
+        emit(inputs.front().second, args.output);
     return 0;
 }
 
 int
 cmdLint(const Args &args)
 {
-    std::vector<std::pair<std::string, Program>> inputs;
-    if (const int status = collectStaticInputs(args, "lint", inputs))
-        return status;
-
-    const std::optional<ObjectiveKind> objective =
-        parseObjectiveKind(args.objective);
-    if (!objective.has_value()) {
-        std::fprintf(stderr, "lint: unknown objective '%s'\n",
-                     args.objective.c_str());
-        return 2;
-    }
+    const Inputs inputs = collectStaticInputs(args, "lint");
     LintRunOptions run;
-    run.align.objective = *objective;
+    run.align.objective = args.objectiveOrDefault();
 
     std::size_t total_errors = 0;
     std::size_t total_warnings = 0;
-    bool first = true;
-    if (args.json)
-        std::cout << "[\n";
+    JsonArray array(args.json);
     for (const auto &[name, program] : inputs) {
         const LintReport report = lintProgram(program, run);
         total_errors += report.errors();
         total_warnings += report.warnings();
-        if (args.json) {
-            if (!first)
-                std::cout << ",\n";
-            writeLintReportJson(report, name, std::cout);
-        } else {
+        if (args.json)
+            writeLintReportJson(report, name, array.next());
+        else
             std::cout << formatLintReport(report, name);
-        }
-        first = false;
     }
-    if (args.json)
-        std::cout << "\n]\n";
-    else
+    array.close();
+    if (!args.json)
         std::printf("lint: %zu program(s): %zu error(s), %zu warning(s)\n",
                     inputs.size(), total_errors, total_warnings);
     return total_errors == 0 ? 0 : 1;
@@ -732,171 +749,98 @@ cmdLint(const Args &args)
 int
 cmdVerify(const Args &args)
 {
-    std::vector<std::pair<std::string, Program>> inputs;
-    if (const int status = collectStaticInputs(args, "verify", inputs))
-        return status;
-
+    const Inputs inputs = collectStaticInputs(args, "verify");
     VerifyRunOptions run;
-    if (args.objectiveSet) {
-        const std::optional<ObjectiveKind> objective =
-            parseObjectiveKind(args.objective);
-        if (!objective.has_value()) {
-            std::fprintf(stderr, "verify: unknown objective '%s'\n",
-                         args.objective.c_str());
-            return 2;
-        }
-        run.objectives = {*objective};
-    } else {
-        run.objectives = allObjectiveKinds();
-    }
+    run.objectives = args.sweptObjectives();
 
     std::size_t total_failed = 0;
     std::size_t total_layouts = 0;
-    bool first = true;
-    if (args.json)
-        std::cout << "[\n";
+    JsonArray array(args.json);
     for (const auto &[name, program] : inputs) {
         const VerifyRunReport report = verifyProgramLayouts(program, run);
         total_failed += report.failedLayouts;
         total_layouts += report.layoutsVerified;
-        if (args.json) {
-            if (!first)
-                std::cout << ",\n";
-            writeVerifyReportJson(report, name, std::cout);
-        } else {
+        if (args.json)
+            writeVerifyReportJson(report, name, array.next());
+        else
             std::cout << formatVerifyReport(report, name);
-        }
-        first = false;
-        if (!args.output.empty()) {
-            // One certificate-bearing report file per program.
-            std::string file = program.name();
-            for (char &c : file) {
-                if (c == '/' || c == '\\')
-                    c = '_';
-            }
-            const std::string path =
-                args.output + "/" + file + ".verify.json";
-            std::ofstream out(path);
-            if (!out) {
-                std::fprintf(stderr, "verify: cannot write %s\n",
-                             path.c_str());
-                return 2;
-            }
-            writeVerifyReportJson(report, name, out);
-            out << "\n";
-        }
+        if (!args.output.empty())  // one certificate file per program
+            writeCertificate(args.output, program.name(), ".verify.json",
+                             [&](std::ostream &out) {
+                                 writeVerifyReportJson(report, name, out);
+                             });
     }
-    if (args.json)
-        std::cout << "\n]\n";
-    else
+    array.close();
+    if (!args.json)
         std::printf("verify: %zu program(s): %zu of %zu layout(s) failed\n",
                     inputs.size(), total_failed, total_layouts);
     return total_failed == 0 ? 0 : 1;
 }
 
 /**
- * Rebuilds the layout `emit` captures in an object — the identity layout
- * unless --algo is given, priced under --arch's cost model with the
- * BT/FNT chain-order override. Shared by emit and check-obj so the
- * validator reconstructs exactly what the emitter wrote.
+ * Rebuilds the layout `emit` captures in an object, priced under
+ * --arch's cost model with the BT/FNT chain-order override: the identity
+ * layout unless --algo is given, so `balign emit prog.balign -o prog.o`
+ * round-trips the program as written. Shared by emit and check-obj so
+ * the validator reconstructs exactly what the emitter wrote.
  */
 ProgramLayout
-emitLayout(const Args &args, const Program &program, AlignerKind &kind)
+emitLayout(const Args &args, const Program &program)
 {
-    // The object captures ONE layout; the identity layout is the neutral
-    // default so `balign emit prog.balign -o prog.o` round-trips the
-    // program as written, and --algo selects an optimized placement.
-    kind = args.algoSet ? parseAlgo(args.algo) : AlignerKind::Original;
-    const CostModel model(parseArch(args.arch));
+    const CostModel model(args.arch);
     AlignOptions options;
-    options.objective = parseObjective(args.objective);
+    options.objective = args.objectiveOrDefault();
     if (model.arch() == Arch::BtFnt)
         options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-    return alignProgram(program, kind, &model, options);
+    return alignProgram(program, args.algo.value_or(AlignerKind::Original),
+                        &model, options);
 }
-
-/// One row of the per-procedure size array emit --json and check-obj
-/// --json share (the schema satellite: identical key names both sides).
-struct ProcSizeRow
-{
-    std::string name;
-    std::uint64_t textBytes = 0;
-    std::uint64_t instrs = 0;
-    std::uint64_t shortBranches = 0;
-    std::uint64_t nearBranches = 0;
-};
 
 /// Writes `"procs":[{"name":...,"text_bytes":...,"instrs":...,
 /// "short_branches":...,"near_branches":...},...]` (no surrounding
-/// braces; the caller owns the enclosing object).
+/// braces; the caller owns the enclosing object): the per-procedure size
+/// array emit --json shares with check-obj's certificate, measured here
+/// from the relaxation fixpoint.
 void
-writeProcSizesJson(const std::vector<ProcSizeRow> &rows, std::ostream &os)
+writeProcSizesJson(const Program &program, const RelaxedLayout &relaxed,
+                   std::ostream &os)
 {
     os << "\"procs\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const ProcSizeRow &row = rows[i];
-        if (i > 0)
-            os << ',';
-        os << "{\"name\":\"" << row.name
-           << "\",\"text_bytes\":" << row.textBytes
-           << ",\"instrs\":" << row.instrs
-           << ",\"short_branches\":" << row.shortBranches
-           << ",\"near_branches\":" << row.nearBranches << '}';
-    }
-    os << ']';
-}
-
-/// Emit-side rows: byte accounting straight from the relaxation fixpoint.
-std::vector<ProcSizeRow>
-procSizesFromRelaxed(const Program &program, const RelaxedLayout &relaxed)
-{
-    std::vector<ProcSizeRow> rows;
     for (ProcId p = 0; p < program.numProcs(); ++p) {
         const RelaxedProc &proc = relaxed.procs[p];
-        ProcSizeRow row;
-        row.name = program.proc(p).name();
-        row.textBytes = proc.byteSize;
-        row.instrs = proc.numInstrs;
+        std::size_t short_branches = 0;
+        std::size_t near_branches = 0;
         for (std::uint32_t i = 0; i < proc.numInstrs; ++i) {
-            const BranchForm form =
-                relaxed.instrs[proc.firstInstr + i].form;
+            const BranchForm form = relaxed.instrs[proc.firstInstr + i].form;
             if (form == BranchForm::Short)
-                ++row.shortBranches;
+                ++short_branches;
             else if (form == BranchForm::Near)
-                ++row.nearBranches;
+                ++near_branches;
         }
-        rows.push_back(std::move(row));
+        if (p > 0)
+            os << ',';
+        os << "{\"name\":\"" << program.proc(p).name()
+           << "\",\"text_bytes\":" << proc.byteSize
+           << ",\"instrs\":" << proc.numInstrs
+           << ",\"short_branches\":" << short_branches
+           << ",\"near_branches\":" << near_branches << '}';
     }
-    return rows;
+    os << ']';
 }
 
 int
 cmdEmit(const Args &args)
 {
-    std::vector<std::pair<std::string, Program>> inputs;
-    if (const int status = collectStaticInputs(args, "emit", inputs))
-        return status;
-    if (inputs.size() != 1) {
-        std::fprintf(stderr, "emit: need exactly one input program\n");
-        return 2;
-    }
-    if (args.output.empty()) {
-        std::fprintf(stderr, "emit: need -o FILE for the object\n");
-        return 2;
-    }
-    const std::optional<EncodingModelKind> encoding =
-        parseEncodingModelKind(args.encoding);
-    if (!encoding.has_value()) {
-        std::fprintf(stderr, "emit: unknown encoding '%s'\n",
-                     args.encoding.c_str());
-        return 2;
-    }
+    const Inputs inputs = collectStaticInputs(args, "emit");
+    if (inputs.size() != 1)
+        usageError("emit: need exactly one input program");
+    if (args.output.empty())
+        usageError("emit: need -o FILE for the object");
     const Program &program = inputs.front().second;
+    const ProgramLayout layout = emitLayout(args, program);
 
-    AlignerKind kind = AlignerKind::Original;
-    const ProgramLayout layout = emitLayout(args, program, kind);
-
-    const EncodingModel &em = encodingModel(*encoding);
+    const EncodingModel &em =
+        encodingModel(args.encoding.value_or(EncodingModelKind::Variable));
     const RelaxedLayout relaxed = relaxLayout(program, layout, em);
     if (!relaxed.converged) {
         std::fprintf(stderr, "emit: relaxation did not converge: %s\n",
@@ -912,24 +856,24 @@ cmdEmit(const Args &args)
         return 1;
     }
     if (!writeElfObject(args.output, program, relaxed, em))
-        return 2;
+        usageError("emit: cannot write %s", args.output.c_str());
 
     if (args.json) {
         std::cout << "{\"schema_version\":1,\"program\":\""
                   << program.name()
                   << "\",\"encoding\":\"" << em.name()
-                  << "\",\"algo\":\"" << alignerKindName(kind)
-                  << "\",\"arch\":\"" << archName(parseArch(args.arch))
+                  << "\",\"algo\":\""
+                  << alignerKindName(args.algo.value_or(AlignerKind::Original))
+                  << "\",\"arch\":\"" << archName(args.arch)
                   << "\",\"objective\":\""
-                  << objectiveKindName(parseObjective(args.objective))
+                  << objectiveKindName(args.objectiveOrDefault())
                   << "\",\"object\":\"" << args.output
                   << "\",\"text_bytes\":" << relaxed.totalBytes
                   << ",\"short_branches\":" << relaxed.shortBranches
                   << ",\"near_branches\":" << relaxed.nearBranches
                   << ",\"relax_sweeps\":" << relaxed.iterations
                   << ",\"checks\":" << proof.totalChecks() << ',';
-        writeProcSizesJson(procSizesFromRelaxed(program, relaxed),
-                           std::cout);
+        writeProcSizesJson(program, relaxed, std::cout);
         std::cout << "}\n";
     } else {
         std::printf("emit: %s: %llu text byte(s) (%llu short, %llu near "
@@ -943,123 +887,107 @@ cmdEmit(const Args &args)
     return 0;
 }
 
-/**
- * Validates one in-memory or on-disk object: relaxes the reconstructed
- * layout under @p encoding, runs the byte-level checker, prints either
- * the text rendering (failures + advisory obj.* lint findings) or one
- * certificate JSON, and optionally writes the certificate to a file.
- * Returns the number of obligation failures.
- */
-std::size_t
-checkOneObject(const Program &program, const RelaxedLayout &relaxed,
-               const std::vector<std::uint8_t> &objectBytes,
-               const std::string &objectLabel, AlignerKind kind,
-               const Args &args, bool jsonFirst, std::ostream *jsonOut,
-               const std::string &certPath)
+/// The --arch spelling of @p arch: its first name in kArchs.
+const char *
+archFlag(Arch arch)
 {
-    ObjCertificate certificate;
-    certificate.program = program.name();
-    certificate.arch = args.arch;
-    certificate.aligner = alignerKindName(kind);
-    certificate.objective = args.objective;
-    certificate.encoding = encodingModelKindName(relaxed.model);
-    certificate.object = objectLabel;
-    certificate.result = checkObject(program, relaxed, objectBytes);
-    const ObjCheckResult &result = certificate.result;
+    for (const auto &[name, value] : kArchs) {
+        if (value == arch)
+            return name;
+    }
+    return "?";
+}
 
-    if (jsonOut != nullptr) {
-        if (!jsonFirst)
-            *jsonOut << ",\n";
-        writeObjCertificateJson(certificate, *jsonOut);
-    } else {
-        for (const ObjFailure &failure : result.failures)
-            std::printf("%s\n", formatObjFailure(failure).c_str());
-        std::vector<Diagnostic> advisory;
-        lintObject(program, result.disasm, certificate.encoding, advisory);
-        for (const Diagnostic &diagnostic : advisory)
-            std::printf("%s\n", formatDiagnostic(diagnostic).c_str());
-        std::printf("check-obj: %s (%s, %s): %zu check(s), %zu "
-                    "failure(s)%s\n",
-                    program.name().c_str(), certificate.encoding.c_str(),
-                    objectLabel.empty() ? "in-memory"
-                                        : objectLabel.c_str(),
-                    result.totalChecks(), result.totalFailures(),
-                    result.verified() ? "; all obligations discharged"
-                                      : "");
+/**
+ * check-obj's body for one program: relaxes the layout `emit` captures
+ * under @p encoding and validates @p object against it (null: the object
+ * emit would write, built in memory). Returns the certificate, or nullopt
+ * after a message on stderr when the relaxation does not converge.
+ */
+std::optional<ObjCertificate>
+checkObj(const Args &args, const Program &program, EncodingModelKind encoding,
+         const std::vector<std::uint8_t> *object, const std::string &label)
+{
+    const EncodingModel &em = encodingModel(encoding);
+    const RelaxedLayout relaxed =
+        relaxLayout(program, emitLayout(args, program), em);
+    if (!relaxed.converged) {
+        std::fprintf(stderr,
+                     "check-obj: %s: relaxation did not converge: %s\n",
+                     program.name().c_str(), relaxed.diagnostic.c_str());
+        return std::nullopt;
     }
-    if (!certPath.empty()) {
-        std::ofstream out(certPath);
-        if (!out) {
-            std::fprintf(stderr, "check-obj: cannot write %s\n",
-                         certPath.c_str());
-        } else {
-            writeObjCertificateJson(certificate, out);
-            out << "\n";
-        }
+    return ObjCertificate{
+        .program = program.name(),
+        .arch = archFlag(args.arch),
+        .aligner = alignerKindName(args.algo.value_or(AlignerKind::Original)),
+        .objective = objectiveKindName(args.objectiveOrDefault()),
+        .encoding = encodingModelKindName(encoding),
+        .object = label,
+        .result = checkObject(program, relaxed,
+                              object != nullptr
+                                  ? *object
+                                  : buildElfObject(program, relaxed, em)),
+    };
+}
+
+/// Prints @p certificate into @p json (null: the text rendering, failures
+/// then advisory obj.* lint findings). Returns its failed obligations.
+std::size_t
+printObjCheck(const Program &program, const ObjCertificate &certificate,
+              std::ostream *json)
+{
+    const ObjCheckResult &result = certificate.result;
+    if (json != nullptr) {
+        writeObjCertificateJson(certificate, *json);
+        return result.totalFailures();
     }
+    for (const ObjFailure &failure : result.failures)
+        std::printf("%s\n", formatObjFailure(failure).c_str());
+    std::vector<Diagnostic> advisory;
+    lintObject(program, result.disasm, certificate.encoding, advisory);
+    for (const Diagnostic &diagnostic : advisory)
+        std::printf("%s\n", formatDiagnostic(diagnostic).c_str());
+    std::printf("check-obj: %s (%s, %s): %zu check(s), %zu failure(s)%s\n",
+                program.name().c_str(), certificate.encoding.c_str(),
+                certificate.object.empty() ? "in-memory"
+                                           : certificate.object.c_str(),
+                result.totalChecks(), result.totalFailures(),
+                result.verified() ? "; all obligations discharged" : "");
     return result.totalFailures();
 }
 
 int
 cmdCheckObj(const Args &args)
 {
-    const std::optional<EncodingModelKind> forced =
-        args.encodingSet ? parseEncodingModelKind(args.encoding)
-                         : std::nullopt;
-    if (args.encodingSet && !forced.has_value()) {
-        std::fprintf(stderr, "check-obj: unknown encoding '%s'\n",
-                     args.encoding.c_str());
-        return 2;
-    }
-
+    EncodingModelKind encoding =
+        args.encoding.value_or(EncodingModelKind::Variable);
     if (args.suite) {
         // Suite mode: emit in-memory objects for all 24 programs under
         // the (forced or default) encoding and validate each one.
-        std::vector<std::pair<std::string, Program>> inputs;
-        if (const int status =
-                collectStaticInputs(args, "check-obj", inputs))
-            return status;
-        const EncodingModelKind encoding =
-            forced.value_or(*parseEncodingModelKind(args.encoding));
-        const EncodingModel &em = encodingModel(encoding);
-
+        const Inputs inputs = collectStaticInputs(args, "check-obj");
         std::size_t failures = 0;
-        bool first = true;
-        if (args.json)
-            std::cout << "[\n";
+        JsonArray array(args.json);
         for (const auto &[name, program] : inputs) {
-            AlignerKind kind = AlignerKind::Original;
-            const ProgramLayout layout = emitLayout(args, program, kind);
-            const RelaxedLayout relaxed = relaxLayout(program, layout, em);
-            if (!relaxed.converged) {
-                std::fprintf(stderr,
-                             "check-obj: %s: relaxation did not "
-                             "converge: %s\n",
-                             name.c_str(), relaxed.diagnostic.c_str());
+            const std::optional<ObjCertificate> certificate =
+                checkObj(args, program, encoding, nullptr, "");
+            if (!certificate.has_value()) {
                 ++failures;
                 continue;
             }
-            const std::vector<std::uint8_t> object =
-                buildElfObject(program, relaxed, em);
-            std::string certPath;
-            if (!args.output.empty()) {
-                std::string file = program.name();
-                for (char &c : file) {
-                    if (c == '/' || c == '\\')
-                        c = '_';
-                }
-                certPath = args.output + "/" + file + "." +
-                           encodingModelKindName(encoding) +
-                           ".checkobj.json";
-            }
-            failures += checkOneObject(
-                program, relaxed, object, /*objectLabel=*/"", kind, args,
-                first, args.json ? &std::cout : nullptr, certPath);
-            first = false;
+            failures += printObjCheck(program, *certificate,
+                                      args.json ? &array.next() : nullptr);
+            if (!args.output.empty())  // one certificate file per program
+                writeCertificate(args.output, program.name(),
+                                 "." + certificate->encoding +
+                                     ".checkobj.json",
+                                 [&](std::ostream &out) {
+                                     writeObjCertificateJson(*certificate,
+                                                             out);
+                                 });
         }
-        if (args.json)
-            std::cout << "\n]\n";
-        else
+        array.close();
+        if (!args.json)
             std::printf("check-obj: %zu program(s) (%s): %zu obligation "
                         "failure(s)\n",
                         inputs.size(), encodingModelKindName(encoding),
@@ -1067,29 +995,16 @@ cmdCheckObj(const Args &args)
         return failures == 0 ? 0 : 1;
     }
 
-    if (args.positional.size() != 2) {
-        std::fprintf(stderr,
-                     "check-obj: need <program.balign> <program.o> or "
-                     "--suite\n");
-        return 2;
-    }
-
-    Args programOnly = args;
-    programOnly.positional = {args.positional[0]};
-    std::vector<std::pair<std::string, Program>> inputs;
-    if (const int status =
-            collectStaticInputs(programOnly, "check-obj", inputs))
-        return status;
-    const Program &program = inputs.front().second;
-
-    const std::string &objectPath = args.positional[1];
-    std::ifstream in(objectPath, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "check-obj: cannot read %s\n",
-                     objectPath.c_str());
-        return 2;
-    }
-    const std::vector<std::uint8_t> objectBytes(
+    if (args.positional.size() != 2)
+        usageError("check-obj: need <program.balign> <program.o> or --suite");
+    const Program program =
+        loadInput(args, "check-obj", args.positional[0], /*profile=*/true)
+            .program;
+    const std::string &object_path = args.positional[1];
+    std::ifstream in(object_path, std::ios::binary);
+    if (!in)
+        usageError("check-obj: cannot read %s", object_path.c_str());
+    const std::vector<std::uint8_t> object(
         (std::istreambuf_iterator<char>(in)),
         std::istreambuf_iterator<char>());
 
@@ -1097,64 +1012,68 @@ cmdCheckObj(const Args &args)
     // --encoding second-guesses it; an unparseable object falls back to
     // the default so the checker can still report the parse failure as
     // a decode-totality finding.
-    EncodingModelKind encoding =
-        forced.value_or(*parseEncodingModelKind(args.encoding));
-    if (!forced.has_value()) {
-        const ParsedElf probe = parseElfObject(objectBytes);
+    if (!args.encoding.has_value()) {
+        const ParsedElf probe = parseElfObject(object);
         if (probe.ok && probe.machine == 0)
             encoding = EncodingModelKind::FixedWord;
-        else if (probe.ok && probe.machine == 62)
-            encoding = EncodingModelKind::Variable;
     }
-
-    AlignerKind kind = AlignerKind::Original;
-    const ProgramLayout layout = emitLayout(args, program, kind);
-    const RelaxedLayout relaxed =
-        relaxLayout(program, layout, encodingModel(encoding));
-    if (!relaxed.converged) {
-        std::fprintf(stderr,
-                     "check-obj: relaxation did not converge: %s\n",
-                     relaxed.diagnostic.c_str());
+    const std::optional<ObjCertificate> certificate =
+        checkObj(args, program, encoding, &object, object_path);
+    if (!certificate.has_value())
         return 1;
-    }
-
-    const std::size_t failures = checkOneObject(
-        program, relaxed, objectBytes, objectPath, kind, args,
-        /*jsonFirst=*/true, args.json ? &std::cout : nullptr,
-        /*certPath=*/"");
+    const std::size_t failures = printObjCheck(
+        program, *certificate, args.json ? &std::cout : nullptr);
     if (args.json)
         std::cout << "\n";
     return failures == 0 ? 0 : 1;
 }
 
+/// One subcommand: its name, its body and its usage lines.
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    const char *synopsis;
+    const char *summary;  ///< printed on the line below the synopsis
+};
+
+const Command kCommands[] = {
+    {"generate", cmdGenerate, "<suite-name> [-o FILE]",
+     "create a program model"},
+    {"profile", cmdProfile, "<FILE> [-o FILE] [--instrs N]",
+     "record edge profile"},
+    {"stats", cmdStats, "<FILE>", "Table-2 attributes"},
+    {"align", cmdAlign, "<FILE> --arch A --algo G", "show the layout"},
+    {"evaluate", cmdEvaluate, "<FILE> --arch A", "compare aligners"},
+    {"unroll", cmdUnroll, "<FILE> [--factor K] [-o FILE]",
+     "duplicate hot loops"},
+    {"degrade", cmdDegrade, "<FILE> --kind K [-o FILE]",
+     "degrade the profile"},
+    {"dot", cmdDot, "<FILE> [--proc N]", "Graphviz output"},
+    {"fuzz", cmdFuzz, "[--seeds N] [--instrs N] [-o DIR]",
+     "differential fuzzing"},
+    {"repro", cmdRepro, "<FILE> [--instrs N]", "replay one repro"},
+    {"estimate", cmdEstimate, "<FILE>...|--suite [--json]",
+     "synthesize a static profile, no trace"},
+    {"lint", cmdLint, "<FILE>...|--suite [--json]", "static verification"},
+    {"verify", cmdVerify, "<FILE>...|--suite [--json] [-o DIR]",
+     "prove layouts, emit certificates"},
+    {"emit", cmdEmit, "<FILE> -o FILE.o [--encoding E]",
+     "relax branch forms and write a relocatable ELF"},
+    {"check-obj", cmdCheckObj, "<FILE> <FILE.o>|--suite [--json] [-o DIR]",
+     "decode an emitted object and prove it against the layout\n"
+     "      (byte-level translation validation)"},
+};
+
 void
 usage()
 {
+    std::fprintf(stderr, "usage: balign <command> [options]\ncommands:\n");
+    for (const Command &command : kCommands)
+        std::fprintf(stderr, "  %s %s\n      %s\n", command.name,
+                     command.synopsis, command.summary);
     std::fprintf(
         stderr,
-        "usage: balign <command> [options]\n"
-        "commands:\n"
-        "  generate <suite-name> [-o FILE]            create a program model\n"
-        "  profile <FILE> [-o FILE] [--instrs N]      record edge profile\n"
-        "  stats <FILE>                               Table-2 attributes\n"
-        "  align <FILE> --arch A --algo G             show the layout\n"
-        "  evaluate <FILE> --arch A                   compare aligners\n"
-        "  unroll <FILE> [--factor K] [-o FILE]       duplicate hot loops\n"
-        "  degrade <FILE> --kind K [-o FILE]          degrade the profile\n"
-        "  dot <FILE> [--proc N]                      Graphviz output\n"
-        "  fuzz [--seeds N] [--instrs N] [-o DIR]     differential fuzzing\n"
-        "  repro <FILE> [--instrs N]                  replay one repro\n"
-        "  estimate <FILE>...|--suite [--json]        synthesize a static\n"
-        "                                             profile, no trace\n"
-        "  lint <FILE>...|--suite [--json]            static verification\n"
-        "  verify <FILE>...|--suite [--json] [-o DIR] prove layouts, emit\n"
-        "                                             certificates\n"
-        "  emit <FILE> -o FILE.o [--encoding E]       relax branch forms and\n"
-        "                                             write a relocatable ELF\n"
-        "  check-obj <FILE> <FILE.o> [--json]         decode an emitted object\n"
-        "  check-obj --suite [--json] [-o DIR]        and prove it against the\n"
-        "                                             layout (byte-level\n"
-        "                                             translation validation)\n"
         "options:\n"
         "  --algo greedy|cost|try15|exttsp|original   alignment algorithm\n"
         "  --objective table-cost|exttsp|size-aware   alignment objective\n"
@@ -1164,7 +1083,8 @@ usage()
         "  --kind none|sample|stale|perturb|merge|drift\n"
         "    profile degradation; severity: -n N (sample keeps 1/N, merge\n"
         "    adds N walks), --param X (perturb eps / drift t),\n"
-        "    --degrade-seed S (transform RNG / alternate input)\n");
+        "    --degrade-seed S (transform RNG / alternate input)\n"
+        "exit status: 0 clean, 1 findings, 2 usage or IO error\n");
 }
 
 }  // namespace
@@ -1172,42 +1092,10 @@ usage()
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 2;
+    for (const Command &command : kCommands) {
+        if (argc >= 2 && std::string_view(argv[1]) == command.name)
+            return command.run(parseArgs(argc, argv));
     }
-    const std::string command = argv[1];
-    const Args args = parseArgs(argc, argv);
-    if (command == "generate")
-        return cmdGenerate(args);
-    if (command == "profile")
-        return cmdProfile(args);
-    if (command == "stats")
-        return cmdStats(args);
-    if (command == "align")
-        return cmdAlign(args);
-    if (command == "evaluate")
-        return cmdEvaluate(args);
-    if (command == "unroll")
-        return cmdUnroll(args);
-    if (command == "degrade")
-        return cmdDegrade(args);
-    if (command == "dot")
-        return cmdDot(args);
-    if (command == "fuzz")
-        return cmdFuzz(args);
-    if (command == "repro")
-        return cmdRepro(args);
-    if (command == "estimate")
-        return cmdEstimate(args);
-    if (command == "lint")
-        return cmdLint(args);
-    if (command == "verify")
-        return cmdVerify(args);
-    if (command == "emit")
-        return cmdEmit(args);
-    if (command == "check-obj")
-        return cmdCheckObj(args);
     usage();
     return 2;
 }
