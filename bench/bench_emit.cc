@@ -62,13 +62,10 @@ struct SizeRow
 SizeRow
 measure(const Program &program, std::uint64_t decode_target)
 {
-    const CostModel model(kArch);
-    AlignOptions options;
-    options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
     const ProgramLayout original =
-        alignProgram(program, AlignerKind::Original, &model, options);
+        alignProgram(program, AlignerKind::Original, kArch);
     const ProgramLayout aligned =
-        alignProgram(program, AlignerKind::Cost, &model, options);
+        alignProgram(program, AlignerKind::Cost, kArch);
 
     const EncodingModel &fixed = encodingModel(EncodingModelKind::FixedWord);
     const EncodingModel &variable =

@@ -383,20 +383,18 @@ main(int argc, char **argv)
 
         for (std::size_t c = 0; c < kNumContenders; ++c) {
             const Contender &contender = kContenders[c];
-            const CostModel model(kArch);
             AlignOptions options;
             options.objective = contender.objective;
-            options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
             const ProgramLayout old_layout = alignProgram(
-                prepared.program, contender.kind, &model, options);
+                prepared.program, contender.kind, kArch, options);
             const ProgramLayout full =
-                alignProgram(moved, contender.kind, &model, options);
+                alignProgram(moved, contender.kind, kArch, options);
 
             for (std::size_t t = 0; t < kNumThresholds; ++t) {
                 RealignStats stats;
                 const ProgramLayout spliced = realignProgram(
                     prepared.program, old_layout, moved, contender.kind,
-                    &model, options, kThresholds[t].value, &stats);
+                    kArch, options, kThresholds[t].value, &stats);
                 RealignPoint &point = realign[c][t];
                 point.realignedFrac +=
                     static_cast<double>(stats.procsRealigned) /

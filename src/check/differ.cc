@@ -274,22 +274,16 @@ diffPrepared(const PreparedProgram &prepared, const DiffOptions &options)
 
     std::vector<Divergence> divergences;
     for (const ObjectiveKind objective : objectives) {
+        AlignOptions align = options.align;
+        align.objective = objective;
+        // The differ wants layout bugs surfaced as divergences it can
+        // shrink, not as verifier panics.
+        align.verify = false;
         for (const AlignerKind kind : kinds) {
             for (const Arch arch : archs) {
-                // Mirror runConfigs: per-architecture cost model, and the
-                // BT/FNT chain-ordering override that makes even Greedy
-                // layouts architecture-specific under BT/FNT.
-                const CostModel model(arch);
-                AlignOptions arch_options = options.align;
-                arch_options.objective = objective;
-                // The differ wants layout bugs surfaced as divergences it
-                // can shrink, not as verifier panics.
-                arch_options.verify = false;
-                if (arch == Arch::BtFnt)
-                    arch_options.chainOrder =
-                        ChainOrderPolicy::BtFntPrecedence;
-                const ProgramLayout layout = alignProgram(
-                    prepared.program, kind, &model, arch_options);
+                // The layout runConfigs evaluates on this architecture.
+                const ProgramLayout layout =
+                    alignProgram(prepared.program, kind, arch, align);
                 std::optional<Divergence> divergence =
                     diffLayout(prepared, layout, arch, kind);
                 if (divergence.has_value()) {

@@ -843,12 +843,12 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
         program, options,
         [&](AlignerKind kind, const AlignOptions &align,
             const ProgramLayout &old_layout) -> std::optional<Divergence> {
-            const CostModel *model = &gateModel();
+            const Arch arch = gateModel().arch();
             const ProgramLayout full =
-                alignProgram(degraded, kind, model, align);
+                alignProgram(degraded, kind, arch, align);
 
             const ProgramLayout incremental = realignProgram(
-                program, old_layout, degraded, kind, model, align, 0.0);
+                program, old_layout, degraded, kind, arch, align, 0.0);
             std::string mismatch =
                 describeLayoutDifference(full, incremental);
             if (!mismatch.empty())
@@ -857,7 +857,7 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
                                mismatch);
 
             const ProgramLayout kept =
-                realignProgram(program, old_layout, degraded, kind, model,
+                realignProgram(program, old_layout, degraded, kind, arch,
                                align, kNeverRealign);
             mismatch = describeLayoutDifference(old_layout, kept);
             if (!mismatch.empty())
@@ -868,7 +868,7 @@ realignGateCheck(const Program &program, const WalkOptions &walk,
 
             RealignStats stats;
             const ProgramLayout spliced =
-                realignProgram(program, old_layout, degraded, kind, model,
+                realignProgram(program, old_layout, degraded, kind, arch,
                                align, 0.25, &stats);
             const VerifyResult proof = verifyLayout(degraded, spliced);
             if (proof.verified())

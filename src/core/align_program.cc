@@ -1,6 +1,6 @@
 #include "core/align_program.h"
 
-#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "estimate/estimate.h"
@@ -12,78 +12,87 @@ namespace balign {
 
 namespace {
 
-/**
- * Per-procedure monotone fallback: keeps whichever of the candidate and
- * baseline procedure layouts has the lower objective price, then re-bases
- * the spliced procedures contiguously. Every AlignmentObjective is purely
- * intra-procedural (Table-1 conditional direction compares same-procedure
- * addresses and jump costs are weight constants; ExtTSP reads only
- * intra-procedural distances), so procedure prices are invariant under the
- * re-basing and the splice's total price is the sum of the per-procedure
- * minima — never above the baseline's. DESIGN.md §9 spells out this
- * contract.
- */
-ProgramLayout
-cheaperPerProc(const Program &program, ProgramLayout candidate,
-               ProgramLayout baseline, const AlignmentObjective &objective)
+/// Chains, orders and materializes @p proc at base 0.
+ProcLayout
+layoutProc(const Procedure &proc, const Aligner &aligner,
+           const CostModel *model, ChainOrderPolicy order)
 {
-    Addr base = 0;
-    for (const auto &proc : program.procs()) {
-        const ProcId id = proc.id();
-        const double candidate_cost =
-            objective.layoutCost(proc, candidate.procs[id]);
-        const double baseline_cost =
-            objective.layoutCost(proc, baseline.procs[id]);
-        if (baseline_cost < candidate_cost)
-            candidate.procs[id] = std::move(baseline.procs[id]);
-        rebaseProcLayout(candidate.procs[id], base);
-        base += candidate.procs[id].totalInstrs;
-    }
-    candidate.totalInstrs = base;
-    return candidate;
+    MaterializeOptions mat;
+    if (aligner.wantsCostModelMaterialization())
+        mat.costModel = model;
+    return materializeProc(
+        proc, orderChains(proc, aligner.alignProc(proc), order), 0, mat);
 }
 
 }  // namespace
 
-ProgramLayout
-alignProgram(const Program &program, const Aligner &aligner,
-             const CostModel *model, const AlignOptions &options)
+std::vector<ProcLayout>
+alignProcs(const Program &program, const std::vector<ProcId> &ids,
+           AlignerKind kind, const CostModel *model,
+           const AlignOptions &options)
 {
-    MaterializeOptions mat;
-    if (aligner.wantsCostModelMaterialization()) {
-        if (model == nullptr)
-            panic("alignProgram: aligner %s needs a cost model",
-                  aligner.name().c_str());
-        mat.costModel = model;
+    std::vector<ProcLayout> layouts;
+    layouts.reserve(ids.size());
+    if (kind == AlignerKind::Original) {
+        for (const ProcId id : ids) {
+            std::vector<BlockId> order(program.proc(id).numBlocks());
+            std::iota(order.begin(), order.end(), BlockId{0});
+            layouts.push_back(
+                materializeProc(program.proc(id), std::move(order), 0));
+        }
+        return layouts;
     }
 
-    const unsigned iterations =
-        aligner.wantsCostModelMaterialization()
-            ? std::max(1u, options.directionIterations)
-            : 1;
+    const auto aligner = makeAligner(kind, model, options);
+    for (const ProcId id : ids) {
+        layouts.push_back(layoutProc(program.proc(id), *aligner, model,
+                                     options.chainOrder));
+    }
+    // Objective-guided aligners place chains from incomplete information
+    // (direction *hints* for Table-1, merge-time distances for ExtTSP);
+    // once the true addresses are fixed a decision can turn out wrong and
+    // leave the result marginally pricier than the plain greedy chains.
+    // Fall back per procedure so the objective price is never worse than
+    // greedy's — the invariant lint's cost.monotone rule enforces.
+    if (kind == AlignerKind::Greedy || !aligner->objectiveGuided() ||
+        (objectiveArchDependent(options.objective) && model == nullptr))
+        return layouts;
+    const auto objective = makeObjective(options.objective, model);
+    const auto greedy = makeAligner(AlignerKind::Greedy, model, options);
+    std::vector<ProcLayout> baselines;
+    baselines.reserve(ids.size());
+    for (const ProcId id : ids) {
+        baselines.push_back(layoutProc(program.proc(id), *greedy, model,
+                                       options.chainOrder));
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const Procedure &proc = program.proc(ids[i]);
+        if (objective->layoutCost(proc, baselines[i]) <
+            objective->layoutCost(proc, layouts[i]))
+            layouts[i] = std::move(baselines[i]);
+    }
+    return layouts;
+}
 
+ProgramLayout
+placeProcs(const Program &program, std::vector<ProcLayout> procs,
+           AlignerKind kind, bool verify, const char *caller)
+{
     ProgramLayout layout;
-    for (unsigned iter = 0; iter < iterations; ++iter) {
-        std::vector<std::vector<BlockId>> orders;
-        orders.reserve(program.numProcs());
-        for (const auto &proc : program.procs()) {
-            // Later iterations refine the direction hints with the
-            // previous layout's block positions (paper §6: branch
-            // directions are unknowable until chains are placed).
-            std::vector<std::uint32_t> positions;
-            DirOracle oracle;
-            if (iter > 0) {
-                const ProcLayout &prev = layout.procs[proc.id()];
-                positions.resize(proc.numBlocks());
-                for (BlockId b = 0; b < proc.numBlocks(); ++b)
-                    positions[b] = prev.blocks[b].orderIndex;
-                oracle = DirOracle(&positions);
-            }
-            const ChainSet chains = aligner.alignProc(proc, oracle);
-            orders.push_back(
-                orderChains(proc, chains, options.chainOrder));
-        }
-        layout = materializeProgram(program, orders, mat);
+    layout.procs = std::move(procs);
+    for (ProcLayout &proc : layout.procs) {
+        rebaseProcLayout(proc, layout.totalInstrs);
+        layout.totalInstrs += proc.totalInstrs;
+    }
+    // Post-condition: the layout is a proof-checked semantic equivalent of
+    // the source program. Translation validation (verify/verify.h) rather
+    // than trusting the aligner/materializer pipeline.
+    if (verify) {
+        const VerifyResult proof = verifyLayout(program, layout);
+        if (!proof.verified())
+            panic("%s: %s layout failed verification: %s", caller,
+                  alignerKindName(kind),
+                  formatVerifyFailure(proof.failures.front()).c_str());
     }
     return layout;
 }
@@ -104,35 +113,27 @@ alignProgram(const Program &program, AlignerKind kind, const CostModel *model,
         inner.profileSource = ProfileSource::Measured;
         return alignProgram(estimated, kind, model, inner);
     }
-    const auto aligner = makeAligner(kind, model, options);
-    ProgramLayout layout = alignProgram(program, *aligner, model, options);
-    // Objective-guided aligners place chains from incomplete information
-    // (direction *hints* for Table-1, merge-time distances for ExtTSP);
-    // once the true addresses are fixed a decision can turn out wrong and
-    // leave the result marginally pricier than the plain greedy chains.
-    // Fall back per procedure so the objective price is never worse than
-    // greedy's — the invariant lint's cost.monotone rule enforces.
-    const bool can_price =
-        !objectiveArchDependent(options.objective) || model != nullptr;
-    if (kind != AlignerKind::Greedy && aligner->objectiveGuided() &&
-        can_price) {
-        const auto objective = makeObjective(options.objective, model);
-        ProgramLayout greedy =
-            alignProgram(program, AlignerKind::Greedy, model, options);
-        layout = cheaperPerProc(program, std::move(layout),
-                                std::move(greedy), *objective);
-    }
-    // Post-condition: the layout is a proof-checked semantic equivalent of
-    // the source program. Translation validation (verify/verify.h) rather
-    // than trusting the aligner/materializer pipeline.
-    if (options.verify) {
-        const VerifyResult proof = verifyLayout(program, layout);
-        if (!proof.verified())
-            panic("alignProgram: %s layout failed verification: %s",
-                  alignerKindName(kind),
-                  formatVerifyFailure(proof.failures.front()).c_str());
-    }
-    return layout;
+    std::vector<ProcId> ids(program.numProcs());
+    std::iota(ids.begin(), ids.end(), ProcId{0});
+    return placeProcs(program, alignProcs(program, ids, kind, model, options),
+                      kind, options.verify, "alignProgram");
+}
+
+AlignOptions
+archAlignOptions(Arch arch, AlignOptions options)
+{
+    if (arch == Arch::BtFnt)
+        options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
+    return options;
+}
+
+ProgramLayout
+alignProgram(const Program &program, AlignerKind kind, Arch arch,
+             const AlignOptions &options)
+{
+    const CostModel model(arch);
+    return alignProgram(program, kind, &model,
+                        archAlignOptions(arch, options));
 }
 
 }  // namespace balign

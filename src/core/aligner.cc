@@ -4,7 +4,6 @@
 #include "core/exttsp_align.h"
 #include "core/greedy.h"
 #include "core/try15.h"
-#include "objective/table_cost.h"
 #include "support/log.h"
 
 namespace balign {
@@ -30,13 +29,6 @@ profileSourceName(ProfileSource source)
       case ProfileSource::Estimated: return "estimated";
     }
     return "?";
-}
-
-double
-blockAlignCost(const Procedure &proc, const CostModel &model, BlockId id,
-               BlockId next, const DirOracle &oracle, BlockId prev)
-{
-    return TableCostObjective(model).blockCost(proc, id, next, oracle, prev);
 }
 
 std::unique_ptr<Aligner>

@@ -66,31 +66,10 @@ struct AlignOptions
     ChainOrderPolicy chainOrder = ChainOrderPolicy::HotFirst;
 
     /// Group size for the TryN search (paper: 15; 10 is slightly worse but
-    /// faster).
+    /// faster). TryN always ignores edges executed fewer than twice (paper
+    /// §4: "we only examined edges that were executed more than once");
+    /// the paper's further 99%-coverage cut is not implemented.
     std::size_t groupSize = 15;
-
-    /// TryN ignores edges executed fewer than this many times (paper §4:
-    /// "we only examined edges that were executed more than once").
-    Weight minEdgeWeight = 2;
-
-    /// TryN considers at most this cumulative weight fraction of the
-    /// considered edges (paper §4 suggests 99% as a further speedup; 1.0
-    /// disables the cut).
-    double coverageFraction = 1.0;
-
-    /// Safety valve for enormous procedures: maximum number of TryN groups
-    /// per procedure (0 = unlimited).
-    std::size_t maxGroups = 0;
-
-    /**
-     * Direction-refinement iterations for cost-aware aligners (>= 1).
-     * BT/FNT costs depend on branch direction, which is circular: it is
-     * only known after placement (paper §6). With more than one
-     * iteration, alignment is repeated using the previous iteration's
-     * layout positions as direction hints, which recovers rotations the
-     * id-based hints undervalue.
-     */
-    unsigned directionIterations = 1;
 
     /**
      * Profile the alignment consumes. Under Estimated the program driver
@@ -110,17 +89,6 @@ struct AlignOptions
     bool verify = true;
 };
 
-/**
- * Estimated Table-1 branch cost (cycles) of block @p id given its current
- * chain successor @p next (kNoBlock when unlinked) and chain predecessor
- * @p prev. Compatibility shim for TableCostObjective::blockCost — see
- * objective/table_cost.h for the semantics.
- */
-double blockAlignCost(const Procedure &proc, const CostModel &model,
-                      BlockId id, BlockId next,
-                      const DirOracle &oracle = DirOracle(),
-                      BlockId prev = kNoBlock);
-
 /// Alignment algorithm interface: produces the chain structure of one
 /// procedure.
 class Aligner
@@ -131,17 +99,8 @@ class Aligner
     /// Human-readable name ("greedy", "cost", "try15", "exttsp").
     virtual std::string name() const = 0;
 
-    /// Builds chains for @p proc from its edge profile, with direction
-    /// hints from @p oracle (cost-aware aligners only).
-    virtual ChainSet alignProc(const Procedure &proc,
-                               const DirOracle &oracle) const = 0;
-
-    /// Convenience: id-based direction hints.
-    ChainSet
-    alignProc(const Procedure &proc) const
-    {
-        return alignProc(proc, DirOracle());
-    }
+    /// Builds chains for @p proc from its edge profile.
+    virtual ChainSet alignProc(const Procedure &proc) const = 0;
 
     /// True when the materializer should use the architecture cost model
     /// (Cost and TryN under the Table-1 objective; Greedy, ExtTSP and any

@@ -22,15 +22,13 @@ CostAligner::CostAligner(std::unique_ptr<AlignmentObjective> objective)
 }
 
 ChainSet
-CostAligner::alignProc(const Procedure &proc,
-                       const DirOracle &base_oracle) const
+CostAligner::alignProc(const Procedure &proc) const
 {
     ChainSet chains(proc.numBlocks(), proc.entry());
     const AlignmentObjective &objective = *objective_;
-    // Same-chain placements are definitive direction evidence; fall back
-    // to the caller's hints (previous-iteration positions or block ids)
-    // only for blocks not yet chained together.
-    const DirOracle oracle = base_oracle.withChains(&chains);
+    // Same-chain placements are definitive direction evidence; block ids
+    // hint only for blocks not yet chained together.
+    const DirOracle oracle(&chains);
 
     for (std::uint32_t index : alignableEdgesByWeight(proc)) {
         const Edge &edge = proc.edge(index);

@@ -33,9 +33,7 @@ class CostAligner : public Aligner
     explicit CostAligner(std::unique_ptr<AlignmentObjective> objective);
 
     std::string name() const override { return "cost"; }
-    using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc) const override;
     bool
     wantsCostModelMaterialization() const override
     {

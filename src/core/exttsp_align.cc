@@ -55,9 +55,8 @@ struct ChainTable
 }  // namespace
 
 ChainSet
-ExtTspAligner::alignProc(const Procedure &proc, const DirOracle &oracle) const
+ExtTspAligner::alignProc(const Procedure &proc) const
 {
-    (void)oracle;  // ExtTSP has no direction dependence
     const std::size_t n = proc.numBlocks();
     ChainSet chains(n, proc.entry());
     ChainTable table(proc);

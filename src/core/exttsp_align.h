@@ -36,9 +36,7 @@ class ExtTspAligner : public Aligner
     explicit ExtTspAligner(const ExtTspParams &params) : params_(params) {}
 
     std::string name() const override { return "exttsp"; }
-    using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc) const override;
     /// Classic (cost-blind) materialization, like Greedy: ExtTSP knows
     /// nothing about Table-1 realization costs.
     bool wantsCostModelMaterialization() const override { return false; }

@@ -22,7 +22,7 @@ alignableEdgesByWeight(const Procedure &proc)
 }
 
 ChainSet
-GreedyAligner::alignProc(const Procedure &proc, const DirOracle &) const
+GreedyAligner::alignProc(const Procedure &proc) const
 {
     ChainSet chains(proc.numBlocks(), proc.entry());
     for (std::uint32_t index : alignableEdgesByWeight(proc)) {

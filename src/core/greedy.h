@@ -22,9 +22,7 @@ class GreedyAligner : public Aligner
 {
   public:
     std::string name() const override { return "greedy"; }
-    using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc) const override;
     bool wantsCostModelMaterialization() const override { return false; }
 };
 

@@ -9,11 +9,12 @@
  * procedure at a time, the materializer's realization decisions read only
  * intra-procedure order positions, and every AlignmentObjective prices
  * intra-procedurally), and procedure layouts are position-independent
- * modulo a uniform address shift (the same re-basing the fallback splice
- * in align_program.cc performs). So realigning a subset and re-basing the
- * rest contiguously reproduces, byte for byte, what a full alignProgram
- * would have produced for the realigned procedures — and every splice is
- * still discharged through the translation validator (verify/verify.h).
+ * modulo a uniform address shift. So running alignProgram's own
+ * per-procedure pipeline (alignProcs) on a subset and re-basing everything
+ * contiguously (placeProcs) reproduces, byte for byte, what a full
+ * alignProgram would have produced for the realigned procedures — and
+ * every splice is still discharged through the translation validator
+ * (verify/verify.h).
  */
 
 #ifndef BALIGN_CORE_REALIGN_H
@@ -62,9 +63,10 @@ inline constexpr double kNeverRealign =
  * a layout of @p old_program with procedures in contiguous id order (any
  * alignProgram result qualifies).
  *
- * Threshold semantics: a procedure is realigned iff its divergence is
- * >= threshold. Hence threshold 0 realigns everything and is byte-
- * identical to alignProgram(new_program, kind, model, options), and
+ * Procedures are realigned as alignProgram(new_program, kind, arch,
+ * options) lays them out. Threshold semantics: a procedure is realigned
+ * iff its divergence is >= threshold. Hence threshold 0 realigns
+ * everything and is byte-identical to that alignProgram call, and
  * kNeverRealign keeps every old procedure layout verbatim (re-based).
  * When options.verify is set the spliced result is translation-validated
  * against @p new_program before being returned.
@@ -72,9 +74,8 @@ inline constexpr double kNeverRealign =
 ProgramLayout realignProgram(const Program &old_program,
                              const ProgramLayout &old_layout,
                              const Program &new_program, AlignerKind kind,
-                             const CostModel *model,
-                             const AlignOptions &options, double threshold,
-                             RealignStats *stats = nullptr);
+                             Arch arch, const AlignOptions &options,
+                             double threshold, RealignStats *stats = nullptr);
 
 }  // namespace balign
 

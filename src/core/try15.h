@@ -12,10 +12,11 @@
  * taken jump; a conditional block may align either out-edge or neither
  * (branch plus inserted jump — the loop transformation).
  *
- * Edges executed fewer than minEdgeWeight times are ignored (paper §4), and
- * an optional cumulative-coverage cut (99% is suggested in the paper)
- * bounds the search on enormous procedures. A final greedy tidy pass links
- * the remaining cold edges when doing so cannot increase the modelled cost.
+ * Edges executed fewer than twice are ignored (paper §4: a constant, not
+ * an option). The paper's further cut to the edges covering 99% of the
+ * weight is not implemented: every edge executed at least twice is
+ * searched. A final greedy tidy pass links the remaining cold edges when
+ * doing so cannot increase the modelled cost.
  *
  * The search backtracks over an undoable ChainSet with an incrementally
  * maintained cost sum, so each search node costs O(1) beyond the link
@@ -46,9 +47,7 @@ class Try15Aligner : public Aligner
         return "try" + std::to_string(options_.groupSize);
     }
 
-    using Aligner::alignProc;
-    ChainSet alignProc(const Procedure &proc,
-                       const DirOracle &oracle) const override;
+    ChainSet alignProc(const Procedure &proc) const override;
     bool
     wantsCostModelMaterialization() const override
     {

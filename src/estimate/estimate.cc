@@ -24,6 +24,7 @@
 
 #include "analysis/analysis.h"
 #include "estimate/internal.h"
+#include "support/json.h"
 
 namespace balign {
 
@@ -60,18 +61,6 @@ prob6(double p)
     char buffer[32];
     std::snprintf(buffer, sizeof buffer, "%.6f", p);
     return buffer;
-}
-
-void
-jsonString(std::ostream &os, const std::string &text)
-{
-    os << '"';
-    for (const char c : text) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
 }
 
 }  // namespace
@@ -269,7 +258,7 @@ writeEstimateReportJson(const EstimateReport &report,
 {
     os << "{\"schema_version\":" << kEstimateSchemaVersion
        << ",\"program\":";
-    jsonString(os, program.name());
+    writeJsonString(program.name(), os);
     os << ",\"conditionals\":" << report.conditionals
        << ",\"total_stranded\":" << report.totalStranded
        << ",\"heuristics\":[";
@@ -287,9 +276,10 @@ writeEstimateReportJson(const EstimateReport &report,
         if (i > 0)
             os << ',';
         os << "{\"proc\":" << pe.proc << ",\"name\":";
-        jsonString(os, pe.proc < program.numProcs()
-                           ? program.proc(pe.proc).name()
-                           : std::string());
+        writeJsonString(pe.proc < program.numProcs()
+                            ? program.proc(pe.proc).name()
+                            : std::string(),
+                        os);
         os << ",\"irreducible_fallback\":"
            << (pe.irreducibleFallback ? "true" : "false")
            << ",\"strand_prob\":" << prob6(pe.strandProb)

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "check/differ.h"
-#include "layout/chain_order.h"
+#include "support/json.h"
 
 namespace balign {
 
@@ -31,7 +31,7 @@ lintProgram(const Program &program, const LintRunOptions &options)
     lintProfile(program, options.lint, report.diagnostics);
     // The est.* self-checks estimate a copy of the program, which is
     // only meaningful on a structurally sound CFG.
-    if (options.estimateRules && cfg_clean)
+    if (cfg_clean)
         lintEstimate(program, options.lint, report.diagnostics);
 
     // A structurally broken CFG makes alignment meaningless (and the
@@ -51,33 +51,26 @@ lintProgram(const Program &program, const LintRunOptions &options)
         objectiveArchDependent(options.align.objective);
     bool objective_priced = false;
 
+    AlignOptions align = options.align;
+    // Lint reports findings; a verifier panic would mask them.
+    align.verify = false;
     for (const Arch arch : archs) {
-        // Mirror runConfigs: per-architecture cost model and the BT/FNT
-        // chain-ordering override, so what gets linted is what the
-        // experiments evaluate.
-        const CostModel model(arch);
-        AlignOptions align = options.align;
-        // Lint reports findings; a verifier panic would mask them.
-        align.verify = false;
-        if (arch == Arch::BtFnt)
-            align.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-
+        // What gets linted is what the experiments evaluate on this arch.
         std::map<AlignerKind, ProgramLayout> layouts;
         for (const AlignerKind kind : kinds) {
-            layouts[kind] = alignProgram(program, kind, &model, align);
+            layouts[kind] = alignProgram(program, kind, arch, align);
             lintLayout(program, layouts[kind], archName(arch),
                        alignerKindName(kind), options.lint,
                        report.diagnostics);
             ++report.layoutsChecked;
         }
 
-        if (!options.costRules)
-            continue;
         if (!arch_dependent_objective && objective_priced)
             continue;  // same prices on every architecture: already done
         const auto greedy = layouts.find(AlignerKind::Greedy);
         if (greedy == layouts.end())
             continue;
+        const CostModel model(arch);
         const auto objective = makeObjective(options.align.objective, &model);
         const std::string arch_context =
             objective->archDependent() ? archName(arch) : std::string();
@@ -117,14 +110,9 @@ void
 writeLintReportJson(const LintReport &report,
                     const std::string &programName, std::ostream &os)
 {
-    os << "{\"schema_version\":" << kLintSchemaVersion
-       << ",\"program\":\"";
-    for (const char c : programName) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << "\",\"profile\":\"" << report.profileProvenance
+    os << "{\"schema_version\":" << kLintSchemaVersion << ",\"program\":";
+    writeJsonString(programName, os);
+    os << ",\"profile\":\"" << report.profileProvenance
        << "\",\"clean\":" << (report.clean() ? "true" : "false")
        << ",\"errors\":" << report.errors()
        << ",\"warnings\":" << report.warnings()

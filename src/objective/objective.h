@@ -67,37 +67,24 @@ const std::vector<ObjectiveKind> &allObjectiveKinds();
 bool objectiveArchDependent(ObjectiveKind kind);
 
 /**
- * Direction oracle for alignment-time cost estimation. Without a position
- * table it falls back to original block ids (approximate source order); a
- * position table from a previous layout iteration gives exact hints for
- * that layout.
- *
- * When a live ChainSet is attached (withChains), blocks already placed in
- * the same chain are resolved from their relative chain order, which is
- * definitive: links never reorder within a chain, so whatever the final
- * chain concatenation does, a same-chain target before its branch stays
- * backward. This is what lets the chain searches price a loop-rotation
- * decision correctly — the id/position fallbacks predate the rotation and
- * point the wrong way (paper §6: directions are circular until placed).
+ * Direction oracle for alignment-time cost estimation. Blocks already
+ * placed in the same chain of the attached live ChainSet are resolved from
+ * their relative chain order, which is definitive: links never reorder
+ * within a chain, so whatever the final chain concatenation does, a
+ * same-chain target before its branch stays backward. This is what lets
+ * the chain searches price a loop-rotation decision correctly (paper §6:
+ * directions are circular until placed). Every other query — and every
+ * query of an oracle without chains — falls back to original block ids
+ * (approximate source order).
  */
 class DirOracle
 {
   public:
-    DirOracle() = default;
-    explicit DirOracle(const std::vector<std::uint32_t> *positions)
-        : positions_(positions)
+    /// An oracle over @p chains, which must outlive it and may keep
+    /// mutating (queries read its current state); null means id hints
+    /// only.
+    explicit DirOracle(const ChainSet *chains = nullptr) : chains_(chains)
     {
-    }
-
-    /// A copy of this oracle that resolves same-chain queries from
-    /// @p chains first. The ChainSet must outlive the returned oracle and
-    /// may keep mutating (queries read its current state).
-    DirOracle
-    withChains(const ChainSet *chains) const
-    {
-        DirOracle oracle = *this;
-        oracle.chains_ = chains;
-        return oracle;
     }
 
     DirHint
@@ -120,15 +107,10 @@ class DirOracle
                     return DirHint::Forward;
             }
         }
-        if (positions_ == nullptr)
-            return target <= src ? DirHint::Backward : DirHint::Forward;
-        return (*positions_)[target] <= (*positions_)[src]
-                   ? DirHint::Backward
-                   : DirHint::Forward;
+        return target <= src ? DirHint::Backward : DirHint::Forward;
     }
 
   private:
-    const std::vector<std::uint32_t> *positions_ = nullptr;
     const ChainSet *chains_ = nullptr;
 };
 

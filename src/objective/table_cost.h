@@ -3,8 +3,8 @@
  * The paper's Table-1 objective behind the AlignmentObjective interface.
  *
  * Edge-decision prices are the architecture cost model's realization costs
- * (the body formerly inlined into core/aligner.cc's blockAlignCost, moved
- * here unchanged so the refactor is byte-for-byte behaviour-preserving);
+ * (the body formerly inlined into core/aligner.cc, moved here unchanged
+ * so the refactor is byte-for-byte behaviour-preserving);
  * layout prices delegate to bpred/static_cost.h, the independent
  * recomputation from final addresses that lint's cost.monotone rule and
  * the fallback splice always used.

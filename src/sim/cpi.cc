@@ -220,40 +220,33 @@ runConfigs(const PreparedProgram &prepared,
     }
 
     std::vector<std::unique_ptr<ProgramLayout>> layouts(keys.size());
-    std::vector<std::unique_ptr<CostModel>> models(keys.size());
     auto align_one = [&](std::size_t i) {
         const ExperimentConfig &config = key_configs[i];
-        auto model = std::make_unique<CostModel>(config.arch);
         AlignOptions arch_options = options;
         arch_options.objective = config.objective;
-        if (config.arch == Arch::BtFnt)
-            arch_options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
+        const Program *align_on = &program;
+        Program degraded;
         if (config.kind != AlignerKind::Original &&
             config.source == ProfileSource::Estimated) {
             // Profile-free layout: alignProgram estimates internally.
             arch_options.profileSource = ProfileSource::Estimated;
-            layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
-                program, config.kind, model.get(), arch_options));
         } else if (config.kind != AlignerKind::Original &&
                    !config.degrade.isNone()) {
             // Align on the degraded profile; evaluation below still
             // replays the true recorded trace (degradations only touch
             // edge weights, so the layout maps onto the same CFG).
-            Program degraded = program;
+            degraded = program;
             degradeProfile(degraded, prepared.walk, config.degrade);
-            layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
-                degraded, config.kind, model.get(), arch_options));
-        } else {
-            layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
-                program, config.kind, model.get(), arch_options));
+            align_on = &degraded;
         }
+        layouts[i] = std::make_unique<ProgramLayout>(alignProgram(
+            *align_on, config.kind, config.arch, arch_options));
         // Non-default encoding: replay the relaxed byte placement. The
         // fixed-word default leaves the word-model layout untouched —
         // the exact historical pipeline.
         if (config.encoding != EncodingModelKind::FixedWord)
             translateLayoutAddresses(program, *layouts[i],
                                      encodingModel(config.encoding));
-        models[i] = std::move(model);
     };
     {
         ScopedPhaseTimer timer(context.times, "align");

@@ -6,8 +6,8 @@
 #include "bpred/arch.h"
 #include "check/differ.h"
 #include "emit/relax.h"
-#include "layout/chain_order.h"
 #include "objective/objective.h"
+#include "support/json.h"
 
 namespace balign {
 
@@ -38,6 +38,9 @@ verifyProgramLayouts(const Program &program, const VerifyRunOptions &options)
         // BT/FNT chain-ordering override: verify one representative
         // (empty arch context) plus BT/FNT instead of all eight copies.
         const bool arch_dependent = objectiveArchDependent(objective);
+        AlignOptions align = options.align;
+        align.objective = objective;
+        align.verify = false;  // this sweep IS the verification
         bool representative_done = false;
         for (const Arch arch : archs) {
             const bool btfnt = arch == Arch::BtFnt;
@@ -46,16 +49,9 @@ verifyProgramLayouts(const Program &program, const VerifyRunOptions &options)
             if (!arch_dependent && !btfnt)
                 representative_done = true;
 
-            const CostModel model(arch);
-            AlignOptions align = options.align;
-            align.objective = objective;
-            align.verify = false;  // this sweep IS the verification
-            if (btfnt)
-                align.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-
             for (const AlignerKind kind : kinds) {
                 ProgramLayout layout =
-                    alignProgram(program, kind, &model, align);
+                    alignProgram(program, kind, arch, align);
                 if (options.mutate)
                     options.mutate(layout, arch, kind, objective);
 
@@ -73,10 +69,8 @@ verifyProgramLayouts(const Program &program, const VerifyRunOptions &options)
                 // proof holds: a corrupted layout has no meaningful byte
                 // rendition (relaxation assumes a walkable order).
                 if (certificate.result.verified()) {
-                    const std::vector<EncodingModelKind> &encodings =
-                        options.encodings.empty() ? allEncodingModelKinds()
-                                                  : options.encodings;
-                    for (const EncodingModelKind encoding : encodings) {
+                    for (const EncodingModelKind encoding :
+                         allEncodingModelKinds()) {
                         const EncodingModel &em = encodingModel(encoding);
                         const RelaxedLayout relaxed =
                             relaxLayout(program, layout, em);
@@ -129,14 +123,9 @@ void
 writeVerifyReportJson(const VerifyRunReport &report,
                       const std::string &programName, std::ostream &os)
 {
-    os << "{\"schema_version\":" << kVerifySchemaVersion
-       << ",\"program\":\"";
-    for (const char c : programName) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << "\",\"verified\":" << (report.verified() ? "true" : "false")
+    os << "{\"schema_version\":" << kVerifySchemaVersion << ",\"program\":";
+    writeJsonString(programName, os);
+    os << ",\"verified\":" << (report.verified() ? "true" : "false")
        << ",\"layoutsVerified\":" << report.layoutsVerified
        << ",\"failedLayouts\":" << report.failedLayouts
        << ",\"checks\":" << report.totalChecks()

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/align_program.h"
-#include "emit/encoding.h"
 #include "verify/certificate.h"
 
 namespace balign {
@@ -45,12 +44,6 @@ struct VerifyRunOptions
     std::vector<AlignerKind> kinds;
     /// Objectives to sweep (empty = just align.objective).
     std::vector<ObjectiveKind> objectives;
-    /// Encoding models whose relaxed byte layouts to prove on top of each
-    /// word-model layout (empty = all). Relaxed obligations are merged
-    /// into the same certificate; they are skipped entirely when the
-    /// word-model proof already failed (a corrupted layout has no
-    /// meaningful byte rendition).
-    std::vector<EncodingModelKind> encodings;
     /// Alignment options; the BT/FNT chain-order override is applied on
     /// top, exactly as the experiment runner does.
     AlignOptions align;

@@ -75,17 +75,13 @@ fullConfigMatrix()
 }
 
 /// The layout runConfigs evaluates for @p config (measured profile, no
-/// degradation, fixed-word encoding): the architecture's cost model and
-/// the BT/FNT chain-ordering override.
+/// degradation, fixed-word encoding).
 inline ProgramLayout
 configLayout(const Program &program, const ExperimentConfig &config)
 {
-    const CostModel model(config.arch);
     AlignOptions options;
     options.objective = config.objective;
-    if (config.arch == Arch::BtFnt)
-        options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-    return alignProgram(program, config.kind, &model, options);
+    return alignProgram(program, config.kind, config.arch, options);
 }
 
 /**

@@ -14,6 +14,7 @@
 #include "core/greedy.h"
 #include "core/try15.h"
 #include "layout/materialize.h"
+#include "objective/table_cost.h"
 #include "trace/walker.h"
 #include "workload/paper_figures.h"
 
@@ -94,7 +95,7 @@ TEST(Greedy, DoesNotWantCostModel)
     EXPECT_EQ(aligner.name(), "greedy");
 }
 
-// ---- blockAlignCost -----------------------------------------------------------
+// ---- Table-1 block cost --------------------------------------------------------
 
 TEST(BlockAlignCost, CondRealizationSelection)
 {
@@ -107,14 +108,15 @@ TEST(BlockAlignCost, CondRealizationSelection)
     b.taken(head, hot, 90);
 
     const CostModel model(Arch::Fallthrough);
+    const TableCostObjective table(model);
     // Linked to the fall successor: taken edge (90) mispredicts.
-    const double fall_adj = blockAlignCost(proc, model, head, cold);
+    const double fall_adj = table.blockCost(proc, head, cold);
     EXPECT_DOUBLE_EQ(fall_adj, 90 * 5.0 + 10 * 1.0);
     // Linked to the taken successor (inverted): only 10 mispredicts.
-    const double taken_adj = blockAlignCost(proc, model, head, hot);
+    const double taken_adj = table.blockCost(proc, head, hot);
     EXPECT_DOUBLE_EQ(taken_adj, 10 * 5.0 + 90 * 1.0);
     // Unlinked: best branch-plus-jump realization.
-    const double unlinked = blockAlignCost(proc, model, head, kNoBlock);
+    const double unlinked = table.blockCost(proc, head, kNoBlock);
     EXPECT_DOUBLE_EQ(unlinked,
                      std::min(90 * 5.0 + 10 * 1.0 + 10 * 2.0,
                               10 * 5.0 + 90 * 1.0 + 90 * 2.0));
@@ -131,11 +133,12 @@ TEST(BlockAlignCost, SingleExitBlocks)
     b.fallThrough(f, r, 60);
 
     const CostModel model(Arch::Likely);
-    EXPECT_DOUBLE_EQ(blockAlignCost(proc, model, u, r), 0.0);
-    EXPECT_DOUBLE_EQ(blockAlignCost(proc, model, u, kNoBlock), 80.0);
-    EXPECT_DOUBLE_EQ(blockAlignCost(proc, model, f, r), 0.0);
-    EXPECT_DOUBLE_EQ(blockAlignCost(proc, model, f, kNoBlock), 120.0);
-    EXPECT_DOUBLE_EQ(blockAlignCost(proc, model, r, kNoBlock), 0.0);
+    const TableCostObjective table(model);
+    EXPECT_DOUBLE_EQ(table.blockCost(proc, u, r), 0.0);
+    EXPECT_DOUBLE_EQ(table.blockCost(proc, u, kNoBlock), 80.0);
+    EXPECT_DOUBLE_EQ(table.blockCost(proc, f, r), 0.0);
+    EXPECT_DOUBLE_EQ(table.blockCost(proc, f, kNoBlock), 120.0);
+    EXPECT_DOUBLE_EQ(table.blockCost(proc, r, kNoBlock), 0.0);
 }
 
 // ---- Cost aligner -------------------------------------------------------------
@@ -194,14 +197,15 @@ TEST(CostAligner, LeavesSlotForBetterPredecessor)
     b.taken(p_blk, d, 100);
 
     const CostModel model(Arch::Fallthrough);
+    const TableCostObjective table(model);
     // Sanity of the hand-computed benefits.
-    const double s_unlinked = blockAlignCost(proc, model, s_blk, kNoBlock);
-    const double s_linked = blockAlignCost(proc, model, s_blk, d);
+    const double s_unlinked = table.blockCost(proc, s_blk, kNoBlock);
+    const double s_linked = table.blockCost(proc, s_blk, d);
     EXPECT_DOUBLE_EQ(s_unlinked, 860.0);  // jump-to-taken variant
     EXPECT_DOUBLE_EQ(s_linked, 700.0);
     const double p_benefit =
-        blockAlignCost(proc, model, p_blk, kNoBlock) -
-        blockAlignCost(proc, model, p_blk, d);
+        table.blockCost(proc, p_blk, kNoBlock) -
+        table.blockCost(proc, p_blk, d);
     EXPECT_DOUBLE_EQ(p_benefit, 200.0);
 
     CostAligner aligner(model);
@@ -289,12 +293,13 @@ TEST(Try15, TidyPassDoesNotUndoLoopTransformation)
     b.fallThrough(loop, exit, 10);
 
     const CostModel model(Arch::Fallthrough);
+    const TableCostObjective table(model);
     Try15Aligner aligner(model, AlignOptions{});
     const ChainSet chains = aligner.alignProc(proc);
 
     double cost = 0.0;
     for (BlockId id = 0; id < proc.numBlocks(); ++id)
-        cost += blockAlignCost(proc, model, id, chains.next(id));
+        cost += table.blockCost(proc, id, chains.next(id));
     // The unlinked loop block costs 990*3 + 10*5 = 3020; entry linked = 0.
     EXPECT_LE(cost, 3020.0 + 1e-9);
 }
@@ -326,27 +331,6 @@ TEST(AlignProgramDeath, CostAlignerRequiresModel)
                  "needs a cost model");
 }
 
-TEST(AlignProgram, DirectionIterationsConverge)
-{
-    // Multiple direction-refinement iterations must yield a valid layout
-    // and never a worse modelled cost than a single pass on BT/FNT.
-    const Program program = figure3Loop();
-    const CostModel model(Arch::BtFnt);
-    AlignOptions one;
-    one.directionIterations = 1;
-    AlignOptions three;
-    three.directionIterations = 3;
-    const ProgramLayout a =
-        alignProgram(program, AlignerKind::Try15, &model, one);
-    const ProgramLayout b =
-        alignProgram(program, AlignerKind::Try15, &model, three);
-    EXPECT_EQ(a.procs[0].order.size(), b.procs[0].order.size());
-    // Iterations are deterministic; repeated runs agree.
-    const ProgramLayout c =
-        alignProgram(program, AlignerKind::Try15, &model, three);
-    EXPECT_EQ(b.procs[0].order, c.procs[0].order);
-}
-
 TEST(BlockAlignCost, PrevContextMakesChainPredecessorBackward)
 {
     // loop: taken -> exit (forward), fall -> latch. With latch as the
@@ -362,15 +346,15 @@ TEST(BlockAlignCost, PrevContextMakesChainPredecessorBackward)
     b.taken(latch, loop, 990);
 
     const CostModel model(Arch::BtFnt);
+    const TableCostObjective table(model);
     // Without prev context: branching to latch looks forward (latch id >
     // loop id) -> predicted NT -> 1000 mispredicts in the best "neither"
     // estimate.
-    const double without =
-        blockAlignCost(proc, model, loop, kNoBlock);
+    const double without = table.blockCost(proc, loop, kNoBlock);
     // With latch as chain predecessor the same branch is backward ->
     // predicted taken -> cost 2 per iteration plus the cold exit jump.
     const double with_prev =
-        blockAlignCost(proc, model, loop, kNoBlock, DirOracle(), latch);
+        table.blockCost(proc, loop, kNoBlock, DirOracle(), latch);
     EXPECT_LT(with_prev, without);
     // NeitherJumpToTaken with a backward hot branch: 1000*2 + 10*5 + 10*2.
     EXPECT_DOUBLE_EQ(with_prev, 1000 * 2.0 + 10 * 5.0 + 10 * 2.0);

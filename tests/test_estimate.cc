@@ -180,6 +180,21 @@ TEST(EstimateCorpus, GoldenJsonReportsMatch)
     }
 }
 
+TEST(EstimateJson, ControlCharactersInNamesAreEscaped)
+{
+    // A control byte in a name must reach the report as a JSON escape,
+    // never raw: the report has to stay parseable by any JSON reader.
+    Program program = loadCorpus("tight-loop.balign");
+    program.setName("tight\x01loop");
+    const EstimateReport report = estimateProfile(program);
+    std::ostringstream os;
+    writeEstimateReportJson(report, program, os);
+    EXPECT_NE(os.str().find("\"program\":\"tight\\u0001loop\""),
+              std::string::npos)
+        << os.str();
+    EXPECT_EQ(os.str().find('\x01'), std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Fuzzer estimate gate.
 

@@ -215,12 +215,7 @@ combinedHash(const Program &program, AlignerKind kind)
 {
     std::uint64_t hash = 14695981039346656037ull;
     for (const Arch arch : allArchs()) {
-        const CostModel model(arch);
-        AlignOptions options;
-        if (arch == Arch::BtFnt)
-            options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
-        const ProgramLayout layout =
-            alignProgram(program, kind, &model, options);
+        const ProgramLayout layout = alignProgram(program, kind, arch);
         hash = fnv1a(hash, hashLayout(layout));
     }
     return hash;

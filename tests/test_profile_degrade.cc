@@ -87,7 +87,6 @@ lintProfileOnly(const Program &program, Weight slack = 65)
 {
     LintRunOptions run;
     run.layoutRules = false;
-    run.costRules = false;
     run.lint.flowSlack = slack;
     return lintProgram(program, run);
 }
@@ -228,7 +227,6 @@ TEST(DegradeDegenerate, ZeroProfileTripsNoteAndAlignersTolerateIt)
 
     LintRunOptions run;
     run.layoutRules = false;
-    run.costRules = false;
     const LintReport report = lintProgram(program, run);
     bool found = false;
     for (const Diagnostic &diag : report.diagnostics) {

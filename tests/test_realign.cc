@@ -40,6 +40,7 @@ using namespace balign;
 namespace {
 
 constexpr std::uint64_t kBudget = 50'000;
+constexpr Arch kArch = Arch::BtFnt;
 
 PreparedProgram
 preparedSuiteProgram(const std::string &name)
@@ -127,7 +128,6 @@ TEST(Realign, ThresholdEndpointsAreByteIdentical)
     for (const std::string name : {"compress", "espresso", "li"}) {
         const PreparedProgram prepared = preparedSuiteProgram(name);
         const Program moved = movedProfile(prepared);
-        const CostModel model(Arch::BtFnt);
         for (const AlignerKind kind : allAlignerKindsExtended()) {
             for (const ObjectiveKind objective : allObjectiveKinds()) {
                 AlignOptions options;
@@ -137,13 +137,13 @@ TEST(Realign, ThresholdEndpointsAreByteIdentical)
                     objectiveKindName(objective);
 
                 const ProgramLayout old_layout = alignProgram(
-                    prepared.program, kind, &model, options);
+                    prepared.program, kind, kArch, options);
                 const ProgramLayout full =
-                    alignProgram(moved, kind, &model, options);
+                    alignProgram(moved, kind, kArch, options);
 
                 RealignStats all_stats;
                 const ProgramLayout incremental = realignProgram(
-                    prepared.program, old_layout, moved, kind, &model,
+                    prepared.program, old_layout, moved, kind, kArch,
                     options, 0.0, &all_stats);
                 EXPECT_EQ(describeLayoutDifference(full, incremental), "")
                     << label;
@@ -152,7 +152,7 @@ TEST(Realign, ThresholdEndpointsAreByteIdentical)
 
                 RealignStats none_stats;
                 const ProgramLayout kept = realignProgram(
-                    prepared.program, old_layout, moved, kind, &model,
+                    prepared.program, old_layout, moved, kind, kArch,
                     options, kNeverRealign, &none_stats);
                 EXPECT_EQ(describeLayoutDifference(old_layout, kept), "")
                     << label;
@@ -175,23 +175,22 @@ TEST(Realign, CountersByteIdenticalAcrossBothEngines)
     ASSERT_NE(prepared.trace, nullptr);
     ASSERT_NE(prepared.batch, nullptr);
     const Program moved = movedProfile(prepared);
-    const CostModel model(Arch::BtFnt);
-    const EvalParams params = EvalParams::forArch(Arch::BtFnt);
+    const EvalParams params = EvalParams::forArch(kArch);
 
     for (const AlignerKind kind :
          {AlignerKind::Greedy, AlignerKind::Try15}) {
         AlignOptions options;
         const std::string label = alignerKindName(kind);
         const ProgramLayout old_layout =
-            alignProgram(prepared.program, kind, &model, options);
-        const ProgramLayout full = alignProgram(moved, kind, &model,
+            alignProgram(prepared.program, kind, kArch, options);
+        const ProgramLayout full = alignProgram(moved, kind, kArch,
                                                 options);
         const ProgramLayout incremental =
             realignProgram(prepared.program, old_layout, moved, kind,
-                           &model, options, 0.0);
+                           kArch, options, 0.0);
         const ProgramLayout kept =
             realignProgram(prepared.program, old_layout, moved, kind,
-                           &model, options, kNeverRealign);
+                           kArch, options, kNeverRealign);
 
         // Threshold 0 == full alignment, threshold infinity == old
         // layout, on every counter, under each evaluator — and the two
@@ -218,14 +217,13 @@ TEST(Realign, MidThresholdSpliceVerifiesAndSavesWork)
 {
     const PreparedProgram prepared = preparedSuiteProgram("espresso");
     const Program moved = movedProfile(prepared);
-    const CostModel model(Arch::BtFnt);
     AlignOptions options;  // verify stays on: a bad splice panics
 
     const ProgramLayout old_layout =
-        alignProgram(prepared.program, AlignerKind::Try15, &model, options);
+        alignProgram(prepared.program, AlignerKind::Try15, kArch, options);
     RealignStats stats;
     const ProgramLayout spliced = realignProgram(
-        prepared.program, old_layout, moved, AlignerKind::Try15, &model,
+        prepared.program, old_layout, moved, AlignerKind::Try15, kArch,
         options, 0.25, &stats);
 
     EXPECT_EQ(stats.procsTotal, prepared.program.numProcs());

@@ -150,6 +150,7 @@
 #include "profile/degrade.h"
 #include "sim/runner.h"
 #include "verify/driver.h"
+#include "support/json.h"
 #include "support/log.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
@@ -442,12 +443,10 @@ cmdAlign(const Args &args)
     const Program program = loadArg(args, "align").program;
     const Arch arch = args.arch;
     const AlignerKind kind = args.algo.value_or(AlignerKind::Try15);
-    const CostModel model(arch);
     AlignOptions options;
     options.groupSize = args.groupSize;
     options.objective = args.objectiveOrDefault();
-    const ProgramLayout layout =
-        alignProgram(program, kind, &model, options);
+    const ProgramLayout layout = alignProgram(program, kind, arch, options);
 
     std::printf("# %s alignment for %s (objective %s)\n",
                 alignerKindName(kind), archName(arch),
@@ -508,6 +507,8 @@ cmdEvaluate(const Args &args)
 int
 cmdUnroll(const Args &args)
 {
+    if (args.unroll.factor == 0)
+        usageError("unroll: --factor must be at least 1");
     Program program = loadArg(args, "unroll").program;
     const unsigned loops = unrollSelfLoops(program, args.unroll);
     inform("unrolled %u loops (factor %u)", loops, args.unroll.factor);
@@ -521,6 +522,8 @@ cmdDegrade(const Args &args)
     if (!args.degradeKind.has_value())
         usageError("degrade: need --kind "
                    "(none|sample|stale|perturb|merge|drift)");
+    if (args.degrade.n == 0)
+        usageError("degrade: -n must be at least 1");
     Repro repro = loadArg(args, "degrade");
     Program &program = repro.program;
 
@@ -778,22 +781,19 @@ cmdVerify(const Args &args)
 }
 
 /**
- * Rebuilds the layout `emit` captures in an object, priced under
- * --arch's cost model with the BT/FNT chain-order override: the identity
- * layout unless --algo is given, so `balign emit prog.balign -o prog.o`
- * round-trips the program as written. Shared by emit and check-obj so
- * the validator reconstructs exactly what the emitter wrote.
+ * Rebuilds the layout `emit` captures in an object: the layout the
+ * experiments evaluate on --arch, or the identity layout unless --algo is
+ * given, so `balign emit prog.balign -o prog.o` round-trips the program
+ * as written. Shared by emit and check-obj so the validator reconstructs
+ * exactly what the emitter wrote.
  */
 ProgramLayout
 emitLayout(const Args &args, const Program &program)
 {
-    const CostModel model(args.arch);
     AlignOptions options;
     options.objective = args.objectiveOrDefault();
-    if (model.arch() == Arch::BtFnt)
-        options.chainOrder = ChainOrderPolicy::BtFntPrecedence;
     return alignProgram(program, args.algo.value_or(AlignerKind::Original),
-                        &model, options);
+                        args.arch, options);
 }
 
 /// Writes `"procs":[{"name":...,"text_bytes":...,"instrs":...,
@@ -819,8 +819,9 @@ writeProcSizesJson(const Program &program, const RelaxedLayout &relaxed,
         }
         if (p > 0)
             os << ',';
-        os << "{\"name\":\"" << program.proc(p).name()
-           << "\",\"text_bytes\":" << proc.byteSize
+        os << "{\"name\":";
+        writeJsonString(program.proc(p).name(), os);
+        os << ",\"text_bytes\":" << proc.byteSize
            << ",\"instrs\":" << proc.numInstrs
            << ",\"short_branches\":" << short_branches
            << ",\"near_branches\":" << near_branches << '}';
