@@ -1,8 +1,9 @@
 #include "core/try15.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
-#include <map>
 #include <utility>
 
 #include "core/greedy.h"
@@ -11,16 +12,28 @@
 
 namespace balign {
 
+namespace {
+
+AlignOptions
+clampGroupSize(AlignOptions options)
+{
+    options.groupSize = std::clamp<std::size_t>(
+        options.groupSize, 1, Try15Aligner::kMaxGroupSize);
+    return options;
+}
+
+}  // namespace
+
 Try15Aligner::Try15Aligner(const CostModel &model,
                            const AlignOptions &options)
     : objective_(std::make_unique<TableCostObjective>(model)),
-      options_(options)
+      options_(clampGroupSize(options))
 {
 }
 
 Try15Aligner::Try15Aligner(std::unique_ptr<AlignmentObjective> objective,
                            const AlignOptions &options)
-    : objective_(std::move(objective)), options_(options)
+    : objective_(std::move(objective)), options_(clampGroupSize(options))
 {
     if (objective_ == nullptr)
         panic("Try15Aligner: null objective");
@@ -35,11 +48,20 @@ struct GroupEdge
     BlockId dst;
 };
 
+/// Every block a group touches, at most two per edge.
+constexpr std::size_t kMaxSlots = 2 * Try15Aligner::kMaxGroupSize;
+
 /**
- * Backtracking search over the 2^N subsets of group edges, maintaining the
- * chain state and the summed cost incrementally. Each link recomputes the
- * modelled cost of BOTH endpoints with the current chain context, so
- * prev-link direction effects (loop rotations under BT/FNT) are priced.
+ * Branch-and-bound search over the 2^N subsets of group edges, include
+ * before exclude, maintaining the chain state and the summed cost
+ * incrementally. Each link recomputes the modelled cost of BOTH endpoints
+ * with the current chain context, so prev-link direction effects (loop
+ * rotations under BT/FNT) are priced.
+ *
+ * The group's distinct blocks live in dense slots, numbered in ascending
+ * BlockId order. A node at depth i prunes when even every block still
+ * touched by an edge >= i falling to its objective floor could not bring
+ * the cost below the incumbent; see try15.h for why the masks stay exact.
  */
 class GroupSearch
 {
@@ -53,19 +75,45 @@ class GroupSearch
           group_(group),
           oracle_(oracle)
     {
-        // Baseline: the cost of every block touched by the group, given
-        // its current (pre-group) link state.
-        for (const auto &edge : group_) {
-            for (BlockId block : {edge.src, edge.dst}) {
-                if (cur_.count(block) == 0)
-                    cur_[block] = costOf(block);
-            }
+        for (const GroupEdge &edge : group_) {
+            blocks_[numSlots_++] = edge.src;
+            blocks_[numSlots_++] = edge.dst;
         }
+        std::sort(blocks_.begin(), blocks_.begin() + numSlots_);
+        numSlots_ = static_cast<std::size_t>(
+            std::unique(blocks_.begin(), blocks_.begin() + numSlots_) -
+            blocks_.begin());
+
+        std::array<std::size_t, kMaxSlots> last_edge{};
+        for (std::size_t i = 0; i < group_.size(); ++i) {
+            srcSlot_[i] = slotOf(group_[i].src);
+            dstSlot_[i] = slotOf(group_[i].dst);
+            last_edge[srcSlot_[i]] = i;
+            last_edge[dstSlot_[i]] = i;
+        }
+        for (std::size_t i = 0; i < group_.size(); ++i) {
+            releaseSrc_[i] = last_edge[srcSlot_[i]] == i;
+            releaseDst_[i] =
+                last_edge[dstSlot_[i]] == i && dstSlot_[i] != srcSlot_[i];
+        }
+
+        // Baseline: the cost of every block touched by the group, given
+        // its current (pre-group) link state, summed in slot (ascending
+        // BlockId) order.
         double base = 0.0;
-        for (const auto &[block, cost] : cur_)
-            base += cost;
-        bestCost_ = std::numeric_limits<double>::infinity();
-        dfs(0, base, 0);
+        double slack = 0.0;
+        for (std::size_t s = 0; s < numSlots_; ++s) {
+            cur_[s] = costOf(blocks_[s]);
+            floor_[s] = objective_.blockCostFloor(proc_, blocks_[s]);
+            base += cur_[s];
+            slack += cur_[s] - floor_[s];
+            prune_ = prune_ && std::isfinite(floor_[s]);
+        }
+        // Leaf sums pass through values of the baseline's magnitude, so
+        // the rounding allowance scales with it as well as with the
+        // incumbent.
+        scale_ = std::abs(base) + 1.0;
+        dfs(0, base, slack, 0);
     }
 
     std::uint32_t bestMask() const { return bestMask_; }
@@ -78,33 +126,64 @@ class GroupSearch
                                     oracle_, chains_.prev(block));
     }
 
+    std::size_t
+    slotOf(BlockId block) const
+    {
+        return static_cast<std::size_t>(
+            std::lower_bound(blocks_.begin(), blocks_.begin() + numSlots_,
+                             block) -
+            blocks_.begin());
+    }
+
+    /// @p slack less the slots no edge after @p i touches.
+    double
+    release(std::size_t i, double slack) const
+    {
+        if (releaseSrc_[i])
+            slack -= cur_[srcSlot_[i]] - floor_[srcSlot_[i]];
+        if (releaseDst_[i])
+            slack -= cur_[dstSlot_[i]] - floor_[dstSlot_[i]];
+        return slack;
+    }
+
+    /**
+     * @p slack is the sum of cur - floor over the slots some edge >= @p i
+     * still touches, so cost - slack is the lowest leaf cost this subtree
+     * can reach.
+     */
     void
-    dfs(std::size_t i, double cost, std::uint32_t mask)
+    dfs(std::size_t i, double cost, double slack, std::uint32_t mask)
     {
         if (i == group_.size()) {
             if (cost < bestCost_) {
                 bestCost_ = cost;
                 bestMask_ = mask;
+                limit_ = cost + 1e-9 * (std::abs(cost) + scale_);
             }
             return;
         }
+        if (prune_ && cost - slack > limit_)
+            return;
         const GroupEdge &edge = group_[i];
+        const std::size_t src = srcSlot_[i];
+        const std::size_t dst = dstSlot_[i];
         // Include: realize this edge as a fall-through link.
         if (chains_.link(edge.src, edge.dst)) {
-            const double old_src = cur_[edge.src];
-            const double old_dst = cur_[edge.dst];
-            const double new_src = costOf(edge.src);
-            const double new_dst = costOf(edge.dst);
-            cur_[edge.src] = new_src;
-            cur_[edge.dst] = new_dst;
-            dfs(i + 1, cost + (new_src - old_src) + (new_dst - old_dst),
-                mask | (1u << i));
-            cur_[edge.src] = old_src;
-            cur_[edge.dst] = old_dst;
+            const double old_src = cur_[src];
+            const double old_dst = cur_[dst];
+            cur_[src] = costOf(edge.src);
+            cur_[dst] = costOf(edge.dst);
+            // Left to right, as the exhaustive search summed (try15.h).
+            const double delta_src = cur_[src] - old_src;
+            const double delta_dst = cur_[dst] - old_dst;
+            dfs(i + 1, cost + delta_src + delta_dst,
+                release(i, slack + delta_src + delta_dst), mask | (1u << i));
+            cur_[src] = old_src;
+            cur_[dst] = old_dst;
             chains_.unlink(edge.src, edge.dst);
         }
         // Exclude.
-        dfs(i + 1, cost, mask);
+        dfs(i + 1, cost, release(i, slack), mask);
     }
 
     const Procedure &proc_;
@@ -112,8 +191,20 @@ class GroupSearch
     ChainSet &chains_;
     const std::vector<GroupEdge> &group_;
     const DirOracle &oracle_;
-    std::map<BlockId, double> cur_;
-    double bestCost_;
+    std::size_t numSlots_ = 0;
+    std::array<BlockId, kMaxSlots> blocks_{};
+    std::array<double, kMaxSlots> cur_{};
+    std::array<double, kMaxSlots> floor_{};
+    std::array<std::size_t, Try15Aligner::kMaxGroupSize> srcSlot_{};
+    std::array<std::size_t, Try15Aligner::kMaxGroupSize> dstSlot_{};
+    /// Per edge, whether it is the last group edge to touch its source
+    /// (destination) slot.
+    std::array<bool, Try15Aligner::kMaxGroupSize> releaseSrc_{};
+    std::array<bool, Try15Aligner::kMaxGroupSize> releaseDst_{};
+    bool prune_ = true;
+    double scale_ = 1.0;
+    double bestCost_ = std::numeric_limits<double>::infinity();
+    double limit_ = std::numeric_limits<double>::infinity();
     std::uint32_t bestMask_ = 0;
 };
 
@@ -137,15 +228,13 @@ Try15Aligner::alignProc(const Procedure &proc) const
             candidates.push_back(index);
     }
 
-    const std::size_t group_size = std::max<std::size_t>(
-        1, std::min<std::size_t>(options_.groupSize, 20));
-
     std::size_t cursor = 0;
     while (cursor < candidates.size()) {
         // Form the next group from still-linkable edges.
         std::vector<GroupEdge> group;
-        group.reserve(group_size);
-        while (cursor < candidates.size() && group.size() < group_size) {
+        group.reserve(options_.groupSize);
+        while (cursor < candidates.size() &&
+               group.size() < options_.groupSize) {
             const Edge &edge = proc.edge(candidates[cursor]);
             ++cursor;
             if (!chains.canLink(edge.src, edge.dst))

@@ -30,6 +30,7 @@
 #define BALIGN_OBJECTIVE_OBJECTIVE_H
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -152,6 +153,20 @@ class AlignmentObjective
     virtual double blockCost(const Procedure &proc, BlockId id, BlockId next,
                              const DirOracle &oracle = DirOracle(),
                              BlockId prev = kNoBlock) const = 0;
+
+    /**
+     * A value blockCost(proc, @p id, next, oracle, prev) can never go
+     * below, whatever next, prev and the oracle's chain state are: the
+     * admissible per-block floor TryN's branch and bound prunes with
+     * (core/try15.h). It must hold in floating point, not only in exact
+     * arithmetic, and must not depend on any chain state. The default,
+     * -infinity, is always admissible and turns pruning off.
+     */
+    virtual double
+    blockCostFloor(const Procedure & /*proc*/, BlockId /*id*/) const
+    {
+        return -std::numeric_limits<double>::infinity();
+    }
 
     /**
      * Price of one procedure's realized layout, recomputed from final

@@ -70,6 +70,14 @@ SizeAwareObjective::blockCost(const Procedure &proc, BlockId id,
 }
 
 double
+SizeAwareObjective::blockCostFloor(const Procedure &proc, BlockId id) const
+{
+    if (bytesWeight_ < 0.0)
+        return AlignmentObjective::blockCostFloor(proc, id);
+    return table_.blockCostFloor(proc, id);
+}
+
+double
 SizeAwareObjective::layoutCost(const Procedure &proc,
                                const ProcLayout &layout) const
 {

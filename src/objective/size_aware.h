@@ -52,6 +52,9 @@ class SizeAwareObjective : public AlignmentObjective
     double blockCost(const Procedure &proc, BlockId id, BlockId next,
                      const DirOracle &oracle = DirOracle(),
                      BlockId prev = kNoBlock) const override;
+    /// The Table-1 floor: the byte term is never negative while
+    /// bytesWeight >= 0; a negative weight gets the no-pruning default.
+    double blockCostFloor(const Procedure &proc, BlockId id) const override;
     double layoutCost(const Procedure &proc,
                       const ProcLayout &layout) const override;
     using AlignmentObjective::layoutCost;

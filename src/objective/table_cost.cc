@@ -1,6 +1,7 @@
 #include "objective/table_cost.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "bpred/static_cost.h"
 #include "support/log.h"
@@ -67,6 +68,54 @@ TableCostObjective::blockCost(const Procedure &proc, BlockId id,
         return 0.0;  // alignment cannot change these
     }
     panic("TableCostObjective::blockCost: bad terminator");
+}
+
+double
+TableCostObjective::blockCostFloor(const Procedure &proc, BlockId id) const
+{
+    const BasicBlock &block = proc.block(id);
+    switch (block.term) {
+      case Terminator::CondBranch: {
+        // blockCost returns one of these realization prices (or the
+        // smaller of two of them), so their minimum bounds it exactly.
+        const Edge &taken =
+            proc.edge(static_cast<std::uint32_t>(proc.takenEdge(id)));
+        const Edge &fall =
+            proc.edge(static_cast<std::uint32_t>(proc.fallThroughEdge(id)));
+        constexpr DirHint kDirs[] = {DirHint::Forward, DirHint::Backward,
+                                     DirHint::Unknown};
+        double floor = std::numeric_limits<double>::infinity();
+        for (const CondRealization realization :
+             {CondRealization::FallAdjacent, CondRealization::TakenAdjacent,
+              CondRealization::NeitherJumpToFall,
+              CondRealization::NeitherJumpToTaken}) {
+            for (const DirHint dir_taken : kDirs) {
+                for (const DirHint dir_fall : kDirs) {
+                    floor = std::min(
+                        floor, model_.condRealizationCost(
+                                   taken.weight, fall.weight, realization,
+                                   dir_taken, dir_fall));
+                }
+            }
+        }
+        return floor;
+      }
+      case Terminator::UncondBranch:
+      case Terminator::FallThrough: {
+        const std::int64_t index = block.term == Terminator::UncondBranch
+                                       ? proc.takenEdge(id)
+                                       : proc.fallThroughEdge(id);
+        if (index < 0)
+            return 0.0;
+        const Edge &edge = proc.edge(static_cast<std::uint32_t>(index));
+        return std::min(model_.singleExitAdjacentCost(),
+                        model_.singleExitJumpCost(edge.weight));
+      }
+      case Terminator::IndirectJump:
+      case Terminator::Return:
+        return 0.0;
+    }
+    panic("TableCostObjective::blockCostFloor: bad terminator");
 }
 
 double

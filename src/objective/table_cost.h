@@ -34,6 +34,10 @@ class TableCostObjective : public AlignmentObjective
     double blockCost(const Procedure &proc, BlockId id, BlockId next,
                      const DirOracle &oracle = DirOracle(),
                      BlockId prev = kNoBlock) const override;
+    /// The cheapest realization under any direction hints for a
+    /// conditional block; the cheaper of adjacent and jump for a
+    /// single-exit one; 0 for the rest.
+    double blockCostFloor(const Procedure &proc, BlockId id) const override;
     double layoutCost(const Procedure &proc,
                       const ProcLayout &layout) const override;
     using AlignmentObjective::layoutCost;

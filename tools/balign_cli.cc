@@ -16,7 +16,8 @@
  *   balign align <FILE> --arch ARCH --algo ALGO [--group N]
  *                [--objective OBJ]
  *       Report the layout an aligner would produce: per-procedure block
- *       orders and transformation counts.
+ *       orders and transformation counts. --group is Try15's group size,
+ *       1 to 20 (default 15).
  *
  *   balign evaluate <FILE> --arch ARCH [--instrs N] [--seed S]
  *                   [--objective OBJ]
@@ -141,6 +142,7 @@
 #include "check/differ.h"
 #include "check/fuzz.h"
 #include "core/align_program.h"
+#include "core/try15.h"
 #include "core/unroll.h"
 #include "disasm/checkobj.h"
 #include "emit/elf.h"
@@ -443,6 +445,9 @@ cmdAlign(const Args &args)
     const Program program = loadArg(args, "align").program;
     const Arch arch = args.arch;
     const AlignerKind kind = args.algo.value_or(AlignerKind::Try15);
+    if (args.groupSize < 1 || args.groupSize > Try15Aligner::kMaxGroupSize)
+        usageError("align: --group must be between 1 and %zu",
+                   Try15Aligner::kMaxGroupSize);
     AlignOptions options;
     options.groupSize = args.groupSize;
     options.objective = args.objectiveOrDefault();
